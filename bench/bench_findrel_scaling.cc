@@ -1,12 +1,16 @@
 // E8 — the FIND_REL algorithm (Figure 7) and its complexity.
 //
 // Section 5.4 analyzes FIND_REL as O(k·n²) for n catalog views and a
-// connection with k attributes. We time the three stages (queryable-view
-// computation, kernel computation, backward-closure) plus the whole
-// algorithm on chain catalogs where the connection spans m views of the
-// n-view catalog, sweeping n and m. The per-iteration time growing
-// roughly quadratically in n (for fixed m) and linearly in the kernel
-// size validates the bound's shape.
+// connection with k attributes. limcap runs every closure over one
+// ClosureIndex per query (planner/closure.h), each linear in the
+// adornments, so FIND_REL costs O(k·n). We time the three stages
+// (queryable-view computation, kernel computation, backward-closure) plus
+// the whole algorithm on chain catalogs where the connection spans m
+// views of the n-view catalog, sweeping n and m. Time per iteration
+// should grow about linearly in n for fixed m (BM_FClosure, BM_BClosure,
+// BM_FindRelChain/n/8), and about quadratically in m for the kernel
+// stage, which runs one closure over the m-view connection per attribute
+// (BM_Kernel, BM_FindRelChain/64/m). EXPERIMENTS.md E8 has measured rows.
 
 #include <benchmark/benchmark.h>
 

@@ -8,9 +8,9 @@
 #include <cstdio>
 
 #include "common/text_table.h"
-#include "exec/latency_model.h"
 #include "exec/query_answerer.h"
 #include "paperdata/paper_examples.h"
+#include "runtime/latency_model.h"
 #include "workload/generator.h"
 
 #include "bench_report.h"
@@ -22,9 +22,9 @@ limcap::benchreport::Reporter reporter("bench_latency_model");
 
 void Report(limcap::TextTable* table, const char* name,
             const limcap::exec::ExecResult& exec) {
-  limcap::exec::LatencyModel model;  // 50 ms per query
-  limcap::exec::MakespanReport makespan =
-      limcap::exec::EstimateMakespan(exec.log, model);
+  limcap::runtime::LatencyModel model;  // 50 ms per query
+  limcap::runtime::MakespanReport makespan =
+      limcap::runtime::EstimateMakespan(exec.log, model);
   char sequential[32], parallel[32], per_source[32], speedup[32];
   std::snprintf(sequential, sizeof(sequential), "%.0f ms",
                 makespan.sequential_ms);

@@ -3,8 +3,9 @@
 // humans, so CI (and regression tooling) consumes every benchmark the
 // same way. Two shapes:
 //
-//   * self-checking harnesses use Reporter — named rows of numeric
-//     fields plus pass/fail invariants, serialized on Write();
+//   * self-checking harnesses use Reporter — named rows of fields plus
+//     pass/fail invariants, built as one common/Json value and dumped
+//     (keys sorted) on Write();
 //   * google-benchmark binaries use LIMCAP_BENCHMARK_MAIN_WITH_REPORT
 //     (in place of BENCHMARK_MAIN), which injects gbench's native JSON
 //     writer targeting the same BENCH_<name>.json naming scheme unless
@@ -26,6 +27,8 @@
 #include <utility>
 #include <vector>
 
+#include "common/json.h"
+
 namespace limcap::benchreport {
 
 inline std::string OutputPath(const std::string& bench_name) {
@@ -45,14 +48,15 @@ inline std::string OutputPath(const std::string& bench_name) {
 }
 
 /// Collects one harness run's results and writes them as one JSON
-/// object:
+/// object through common/Json:
 ///
-///   {"bench": "...", "rows": [{"name": "...", k: v, ...}, ...],
-///    "invariants": [{"name": "...", "passed": true}, ...],
-///    "failures": 0}
+///   {"bench":"...","failures":0,
+///    "invariants":[{"name":"...","passed":true},...],
+///    "rows":[{"name":"...",k:v,...},...]}
 ///
-/// Numbers render as %.6g (integers stay integral); every row keeps its
-/// field order.
+/// Keys come out sorted (Json objects are canonical), rows and
+/// invariants keep their insertion order, and a non-finite number is
+/// written as null.
 class Reporter {
  public:
   explicit Reporter(std::string bench_name)
@@ -61,24 +65,22 @@ class Reporter {
   class Row {
    public:
     Row& Set(const std::string& key, double value) {
-      numbers_.emplace_back(key, value);
+      fields_.Set(key, value);
       return *this;
     }
     Row& Set(const std::string& key, std::string value) {
-      strings_.emplace_back(key, std::move(value));
+      fields_.Set(key, std::move(value));
       return *this;
     }
 
    private:
     friend class Reporter;
-    std::string name_;
-    std::vector<std::pair<std::string, double>> numbers_;
-    std::vector<std::pair<std::string, std::string>> strings_;
+    Json fields_ = Json::MakeObject();
   };
 
   Row& AddRow(const std::string& name) {
     rows_.emplace_back();
-    rows_.back().name_ = name;
+    rows_.back().fields_.Set("name", name);
     return rows_.back();
   }
 
@@ -109,57 +111,24 @@ class Reporter {
   }
 
   std::string Render() const {
-    std::string out = "{\"bench\": \"" + Escape(bench_name_) + "\"";
-    out += ", \"rows\": [";
-    for (std::size_t i = 0; i < rows_.size(); ++i) {
-      const Row& row = rows_[i];
-      if (i > 0) out += ", ";
-      out += "{\"name\": \"" + Escape(row.name_) + "\"";
-      for (const auto& [key, value] : row.numbers_) {
-        out += ", \"" + Escape(key) + "\": " + Number(value);
-      }
-      for (const auto& [key, value] : row.strings_) {
-        out += ", \"" + Escape(key) + "\": \"" + Escape(value) + "\"";
-      }
-      out += "}";
+    Json report = Json::MakeObject();
+    report.Set("bench", bench_name_);
+    Json rows = Json::MakeArray();
+    for (const Row& row : rows_) rows.Append(row.fields_);
+    report.Set("rows", std::move(rows));
+    Json invariants = Json::MakeArray();
+    for (const auto& [name, passed] : invariants_) {
+      Json invariant = Json::MakeObject();
+      invariant.Set("name", name);
+      invariant.Set("passed", passed);
+      invariants.Append(std::move(invariant));
     }
-    out += "], \"invariants\": [";
-    for (std::size_t i = 0; i < invariants_.size(); ++i) {
-      if (i > 0) out += ", ";
-      out += "{\"name\": \"" + Escape(invariants_[i].first) +
-             "\", \"passed\": " +
-             (invariants_[i].second ? "true" : "false") + "}";
-    }
-    out += "], \"failures\": " + std::to_string(failures_) + "}\n";
-    return out;
+    report.Set("invariants", std::move(invariants));
+    report.Set("failures", failures_);
+    return report.Dump() + "\n";
   }
 
  private:
-  static std::string Escape(const std::string& text) {
-    std::string out;
-    out.reserve(text.size());
-    for (char c : text) {
-      if (c == '"' || c == '\\') out += '\\';
-      if (c == '\n') {
-        out += "\\n";
-        continue;
-      }
-      out += c;
-    }
-    return out;
-  }
-
-  static std::string Number(double value) {
-    char buffer[32];
-    if (value == static_cast<long long>(value)) {
-      std::snprintf(buffer, sizeof(buffer), "%lld",
-                    static_cast<long long>(value));
-    } else {
-      std::snprintf(buffer, sizeof(buffer), "%.6g", value);
-    }
-    return buffer;
-  }
-
   std::string bench_name_;
   std::vector<Row> rows_;
   std::vector<std::pair<std::string, bool>> invariants_;

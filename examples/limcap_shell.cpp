@@ -6,9 +6,9 @@
 //   limcap_shell <catalog-file> "<query>" [--trace] [--plan] [--baseline]
 //   limcap_shell                  # runs a built-in demo (Example 2.1)
 //
-// Example:
-//   limcap_shell music.cat \
-//     '<{Song = t1}, {Price}, {{v1, v3}, {v1, v4}, {v2, v3}, {v2, v4}}>' \
+// Example (one command line):
+//   limcap_shell music.cat
+//     '<{Song = t1}, {Price}, {{v1, v3}, {v1, v4}, {v2, v3}, {v2, v4}}>'
 //     --trace --plan
 
 #include <cstdio>

@@ -75,6 +75,13 @@ AttributeSet SourceCatalog::AllAttributes() const {
   return all;
 }
 
+bool SourceCatalog::HasAttribute(const std::string& attribute) const {
+  for (const auto& source : sources_) {
+    if (source->view().schema().Contains(attribute)) return true;
+  }
+  return false;
+}
+
 std::string SourceCatalog::ToString() const {
   std::string out;
   for (const auto& source : sources_) {

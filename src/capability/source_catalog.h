@@ -62,6 +62,8 @@ class SourceCatalog {
 
   /// A(V): the union of every view's attributes.
   AttributeSet AllAttributes() const;
+  /// attribute ∈ A(V), without building A(V).
+  bool HasAttribute(const std::string& attribute) const;
 
   /// One line per view: "v1(Song, Cd) [bf]".
   std::string ToString() const;

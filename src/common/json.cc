@@ -231,6 +231,11 @@ void DumpString(const std::string& text, std::string* out) {
 }
 
 void DumpNumber(double value, std::string* out) {
+  // JSON has no NaN or infinity; they render as null.
+  if (!std::isfinite(value)) {
+    *out += "null";
+    return;
+  }
   // Integral values (the common case: ids, counters) render without a
   // fraction; everything else uses %.17g, enough to round-trip a double.
   if (value == std::floor(value) && std::abs(value) < 1e15) {
@@ -331,6 +336,21 @@ const Json& Json::Get(std::string_view key) const {
 bool Json::Has(std::string_view key) const {
   return is_object() && object_ != nullptr &&
          object_->count(std::string(key)) > 0;
+}
+
+Result<std::uint64_t> Json::GetUnsigned(std::string_view key,
+                                        std::uint64_t fallback) const {
+  const Json& value = Get(key);
+  if (value.is_null()) return fallback;
+  constexpr double kTwoTo64 = 18446744073709551616.0;
+  const double number = value.AsNumber(-1);
+  // Written so NaN fails every comparison and lands in the error.
+  if (!(number >= 0 && number < kTwoTo64 && number == std::floor(number))) {
+    std::string message(key);
+    message += " must be a whole number in [0, 2^64)";
+    return Status::InvalidArgument(message);
+  }
+  return static_cast<std::uint64_t>(number);
 }
 
 std::string Json::Dump() const {

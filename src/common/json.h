@@ -17,7 +17,8 @@ namespace limcap {
 /// machine interface that needs structured requests): null, bool, number
 /// (double), string, array, object. Small by design — no streaming, no
 /// comments, no non-finite numbers — because every frame on the wire is a
-/// short control or result message, never bulk data.
+/// short control or result message, never bulk data. Dump() renders a
+/// non-finite number as null.
 ///
 /// Objects keep their keys sorted (std::map), so Dump() is canonical:
 /// two equal documents render byte-identically, which the protocol tests
@@ -95,6 +96,11 @@ class Json {
     const Json& value = Get(key);
     return value.is_string() ? value.AsString() : std::move(fallback);
   }
+  /// The checked reader for peer-supplied counts and ids: `fallback` when
+  /// the member is absent or null, InvalidArgument unless it is a whole
+  /// number in [0, 2^64) — the values a cast to uint64_t keeps defined.
+  Result<std::uint64_t> GetUnsigned(std::string_view key,
+                                    std::uint64_t fallback = 0) const;
 
   /// Serializes canonically (sorted keys, no whitespace, shortest
   /// round-tripping number form).

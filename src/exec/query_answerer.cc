@@ -187,16 +187,16 @@ Result<AnswerReport> QueryAnswerer::Answer(const planner::Query& query,
       }
     }
   } else {
+    // One snapshot of the catalog serves both planning and the gate.
+    const std::vector<capability::SourceView> views = catalog_->Views();
     LIMCAP_ASSIGN_OR_RETURN(
-        report.plan, planner::PlanQuery(query, catalog_->Views(), domains_,
+        report.plan, planner::PlanQuery(query, views, domains_,
                                         session_options.builder, {},
                                         session_options.tracer));
     RecordPlanMetrics(report.plan, session_options.metrics);
     LIMCAP_ASSIGN_OR_RETURN(
-        program,
-        ApplyStaticAnalysisGate(report.plan.optimized_program,
-                                catalog_->Views(), domains_, session_options,
-                                &report));
+        program, ApplyStaticAnalysisGate(report.plan.optimized_program, views,
+                                         domains_, session_options, &report));
     // Publish the artifact. kReject failures never reach this point (the
     // gate returned the error above), so rejections are re-diagnosed —
     // and re-reported — on every attempt.

@@ -34,7 +34,7 @@ namespace limcap::exec {
 /// How the evaluator schedules source queries between Datalog rounds.
 enum class FetchStrategy {
   /// Each round issues every currently formable query, then derives —
-  /// maximizes per-round parallelism (see exec/latency_model.h).
+  /// maximizes per-round parallelism (see runtime/latency_model.h).
   kRoundBased,
   /// Issue one query, immediately derive, repeat — the depth-first style
   /// of the paper's Table 2 narration. Same fixpoint, different order;

@@ -136,21 +136,20 @@ Result<WireRequest> ParseWireRequest(const Json& message) {
     return Status::InvalidArgument("frame payload is not a JSON object");
   }
   WireRequest wire;
-  wire.id = static_cast<uint64_t>(message.GetNumber("id", 0));
+  LIMCAP_ASSIGN_OR_RETURN(wire.id, message.GetUnsigned("id"));
   wire.query_text = message.GetString("query");
   if (wire.query_text.empty()) {
     return Status::InvalidArgument("query message carries no \"query\" text");
   }
   LIMCAP_ASSIGN_OR_RETURN(wire.request.query,
                           planner::ParseQuery(wire.query_text));
-  const double budget = message.GetNumber("max_source_queries", 0);
-  if (budget > 0) {
-    wire.request.max_source_queries = static_cast<std::size_t>(budget);
-  }
-  const double min_answers = message.GetNumber("min_answers", 0);
-  if (min_answers > 0) {
-    wire.request.min_answers = static_cast<std::size_t>(min_answers);
-  }
+  // Absent or 0 keeps the request's defaults.
+  LIMCAP_ASSIGN_OR_RETURN(const uint64_t budget,
+                          message.GetUnsigned("max_source_queries"));
+  if (budget > 0) wire.request.max_source_queries = budget;
+  LIMCAP_ASSIGN_OR_RETURN(const uint64_t min_answers,
+                          message.GetUnsigned("min_answers"));
+  if (min_answers > 0) wire.request.min_answers = min_answers;
   wire.request.deadline_ms = message.GetNumber("deadline_ms", 0);
   return wire;
 }

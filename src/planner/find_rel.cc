@@ -1,6 +1,6 @@
 #include "planner/find_rel.h"
 
-#include <map>
+#include <algorithm>
 
 #include "common/string_util.h"
 
@@ -8,68 +8,110 @@ namespace limcap::planner {
 
 namespace {
 
-/// Maps every attribute appearing in `views` or `query` to one canonical
-/// representative of its domain (the lexicographically smallest attribute
-/// sharing the domain). With distinct domains this is the identity, so
-/// the analysis matches the paper's attribute-level algorithm; with
-/// grouped domains it folds same-domain attributes together, since source
-/// bindings flow through domain predicates.
-std::map<std::string, std::string> DomainRepresentatives(
-    const Query& query, const std::vector<SourceView>& views,
-    const DomainMap& domains) {
-  AttributeSet attributes = query.InputAttributes();
-  for (const SourceView& view : views) {
-    AttributeSet view_attributes = view.Attributes();
-    attributes.insert(view_attributes.begin(), view_attributes.end());
-  }
-  // std::set iterates in sorted order, so the first attribute seen per
-  // domain is the lexicographic representative.
-  std::map<std::string, std::string> domain_rep;
-  std::map<std::string, std::string> rep;
-  for (const std::string& attribute : attributes) {
-    auto [it, inserted] =
-        domain_rep.emplace(domains.DomainOf(attribute), attribute);
-    rep.emplace(attribute, it->second);
-  }
-  return rep;
-}
-
-AttributeSet MapSet(const AttributeSet& attributes,
-                    const std::map<std::string, std::string>& rep) {
-  AttributeSet out;
-  for (const std::string& attribute : attributes) {
-    auto it = rep.find(attribute);
-    out.insert(it == rep.end() ? attribute : it->second);
-  }
-  return out;
-}
-
-Result<std::vector<Adorned>> ResolveAdorned(
-    const Connection& connection, const std::vector<SourceView>& views,
-    const std::map<std::string, std::string>& rep) {
-  std::vector<Adorned> resolved;
-  for (const std::string& name : connection.view_names()) {
-    bool found = false;
-    for (const SourceView& view : views) {
-      if (view.name() == name) {
-        std::vector<Adorned> expanded = Adorned::FromView(
-            view, [&rep](const std::string& a) { return rep.at(a); });
-        resolved.insert(resolved.end(), expanded.begin(), expanded.end());
-        found = true;
-        break;
-      }
-    }
-    if (!found) {
-      return Status::InvalidArgument("connection " + connection.ToString() +
-                                     " references unknown view: " + name);
-    }
-  }
-  return resolved;
-}
-
 std::string SetToString(const std::set<std::string>& items) {
   return "{" + JoinMapped(items, ", ", [](const std::string& s) { return s; }) +
          "}";
+}
+
+/// FIND_REL's per-query state, shared by every connection: the closure
+/// index over all views (attributes folded to domain representatives, so
+/// the analysis follows binding flow through shared domains — with
+/// distinct domains this is the paper's attribute-level algorithm), and
+/// V_q = f-closure(I(Q) ∪ seeded, V).
+struct RelevanceContext {
+  ClosureIndex index;
+  ClosureIndex::Forward queryable;
+  std::vector<std::string> queryable_names;
+};
+
+RelevanceContext MakeRelevanceContext(const Query& query,
+                                      const std::vector<SourceView>& views,
+                                      const DomainMap& domains,
+                                      const AttributeSet& seeded_attributes) {
+  RelevanceContext context{
+      ClosureIndex(views, domains, query.InputAttributes()), {}, {}};
+  ClosureIndex& index = context.index;
+  std::vector<AttributeId> initial;
+  for (const std::string& input : query.InputAttributes()) {
+    initial.push_back(index.Representative(index.FindAttribute(input)));
+  }
+  // A seeded attribute outside the views and the query is its own domain.
+  for (const std::string& seeded : seeded_attributes) {
+    initial.push_back(index.Representative(index.AddAttribute(seeded)));
+  }
+  context.queryable = index.ForwardClosure(initial);
+  for (ViewId v : context.queryable.order) {
+    context.queryable_names.push_back(index.ViewName(v));
+  }
+  return context;
+}
+
+/// FIND_REL's steps 2-4 for one connection, over the shared context.
+Result<FindRelReport> RunFindRel(const RelevanceContext& context,
+                                 const Query& query,
+                                 const Connection& connection) {
+  const ClosureIndex& index = context.index;
+  FindRelReport report;
+  report.queryable_views = context.queryable_names;
+
+  // Step 1 (V_q) is shared: the connection is queryable when V_q holds
+  // each of its views.
+  std::vector<ViewId> views;
+  for (const std::string& name : connection.view_names()) {
+    const ViewId v = index.FindView(name);
+    if (v == ClosureIndex::kNone) {
+      return Status::InvalidArgument("connection " + connection.ToString() +
+                                     " references unknown view: " + name);
+    }
+    views.push_back(v);
+  }
+  report.connection_queryable =
+      std::all_of(views.begin(), views.end(),
+                  [&](ViewId v) { return context.queryable.contains[v]; });
+  if (!report.connection_queryable) return report;
+
+  // Step 2: a kernel of the connection.
+  //
+  // The kernel's input set is subtler than queryability's: an input
+  // assignment a = c pins attribute a in the complete answer, so a's
+  // domain needs no further external values — *unless* the domain also
+  // occurs in the connection as a different attribute b. Then b is not
+  // pinned by the selection, extra domain values retrieve extra answer
+  // tuples, and the domain must stay kernel-eligible (its feeders are
+  // relevant). Under Section 5's distinct-domain assumption this reduces
+  // to I(Q) exactly.
+  std::vector<AttributeId> kernel_inputs;
+  for (const std::string& name : query.InputAttributes()) {
+    const AttributeId input = index.FindAttribute(name);
+    const AttributeId domain = index.Representative(input);
+    const bool constrains =
+        std::none_of(views.begin(), views.end(), [&](ViewId v) {
+          std::span<const AttributeId> attributes = index.ViewAttributes(v);
+          return std::any_of(attributes.begin(), attributes.end(),
+                             [&](AttributeId b) {
+                               return b != input &&
+                                      index.Representative(b) == domain;
+                             });
+        });
+    if (constrains) kernel_inputs.push_back(domain);
+  }
+  std::vector<AttributeId> kernel = index.Kernel(kernel_inputs, views);
+  for (AttributeId a : kernel) report.kernel.insert(index.AttributeName(a));
+  report.independent = kernel.empty();
+
+  // Step 3: its backward-closure over the queryable views.
+  std::vector<bool> bclosure =
+      index.BackwardClosure(kernel, context.queryable.contains);
+  for (ViewId v = 0; v < bclosure.size(); ++v) {
+    if (bclosure[v]) report.kernel_bclosure.insert(index.ViewName(v));
+  }
+
+  // Step 4: relevant = b-closure(kernel) ∪ T.
+  report.relevant_views = report.kernel_bclosure;
+  for (const std::string& name : connection.view_names()) {
+    report.relevant_views.insert(name);
+  }
+  return report;
 }
 
 }  // namespace
@@ -93,82 +135,9 @@ Result<FindRelReport> FindRelevantViews(const Query& query,
                                         const std::vector<SourceView>& views,
                                         const DomainMap& domains,
                                         const AttributeSet& seeded_attributes) {
-  FindRelReport report;
-  std::map<std::string, std::string> rep =
-      DomainRepresentatives(query, views, domains);
-  for (const std::string& attribute : seeded_attributes) {
-    rep.emplace(attribute, attribute);
-  }
-  auto map_name = [&rep](const std::string& a) { return rep.at(a); };
-  AttributeSet inputs = MapSet(query.InputAttributes(), rep);
-  AttributeSet seeded = MapSet(seeded_attributes, rep);
-  inputs.insert(seeded.begin(), seeded.end());
-
-  std::vector<Adorned> all_adorned;
-  all_adorned.reserve(views.size());
-  for (const SourceView& view : views) {
-    std::vector<Adorned> expanded = Adorned::FromView(view, map_name);
-    all_adorned.insert(all_adorned.end(), expanded.begin(), expanded.end());
-  }
-
-  // Step 1: V_q = f-closure(I(Q), V).
-  FClosure queryable = ComputeFClosure(inputs, all_adorned);
-  report.queryable_views = queryable.order;
-
-  report.connection_queryable = true;
-  for (const std::string& name : connection.view_names()) {
-    if (!queryable.Contains(name)) report.connection_queryable = false;
-  }
-  LIMCAP_ASSIGN_OR_RETURN(std::vector<Adorned> connection_adorned,
-                          ResolveAdorned(connection, views, rep));
-  if (!report.connection_queryable) return report;
-
-  // Step 2: a kernel of the connection.
-  //
-  // The kernel's input set is subtler than queryability's: an input
-  // assignment a = c pins attribute a in the complete answer, so a's
-  // domain needs no further external values — *unless* the domain also
-  // occurs in the connection as a different attribute b. Then b is not
-  // pinned by the selection, extra domain values retrieve extra answer
-  // tuples, and the domain must stay kernel-eligible (its feeders are
-  // relevant). Under Section 5's distinct-domain assumption this reduces
-  // to I(Q) exactly.
-  AttributeSet connection_attributes;  // original attribute names
-  for (const std::string& name : connection.view_names()) {
-    for (const SourceView& view : views) {
-      if (view.name() == name) {
-        AttributeSet attrs = view.Attributes();
-        connection_attributes.insert(attrs.begin(), attrs.end());
-      }
-    }
-  }
-  AttributeSet kernel_inputs;
-  for (const std::string& input : query.InputAttributes()) {
-    bool constrains = true;
-    for (const std::string& attribute : connection_attributes) {
-      if (attribute != input && rep.at(attribute) == rep.at(input)) {
-        constrains = false;
-        break;
-      }
-    }
-    if (constrains) kernel_inputs.insert(rep.at(input));
-  }
-  report.kernel = ComputeKernel(kernel_inputs, connection_adorned);
-  report.independent = report.kernel.empty();
-
-  // Step 3: its backward-closure over the queryable views.
-  std::vector<Adorned> queryable_adorned;
-  for (const Adorned& adorned : all_adorned) {
-    if (queryable.Contains(adorned.name)) queryable_adorned.push_back(adorned);
-  }
-  report.kernel_bclosure = ComputeBClosure(report.kernel, queryable_adorned);
-
-  // Step 4: relevant = b-closure(kernel) ∪ T.
-  report.relevant_views = report.kernel_bclosure;
-  for (const std::string& name : connection.view_names()) {
-    report.relevant_views.insert(name);
-  }
-  return report;
+  return RunFindRel(
+      MakeRelevanceContext(query, views, domains, seeded_attributes), query,
+      connection);
 }
 
 std::string QueryRelevance::ToString() const {
@@ -194,30 +163,15 @@ Result<QueryRelevance> AnalyzeQueryRelevance(const Query& query,
                                              obs::Tracer* tracer) {
   obs::ScopedSpan relevance_span(tracer, "plan.relevance");
   QueryRelevance relevance;
-  std::map<std::string, std::string> rep =
-      DomainRepresentatives(query, views, domains);
-  for (const std::string& attribute : seeded_attributes) {
-    rep.emplace(attribute, attribute);
-  }
-  std::vector<Adorned> all_adorned;
-  for (const SourceView& view : views) {
-    std::vector<Adorned> expanded = Adorned::FromView(
-        view, [&rep](const std::string& a) { return rep.at(a); });
-    all_adorned.insert(all_adorned.end(), expanded.begin(), expanded.end());
-  }
-  AttributeSet initial = MapSet(query.InputAttributes(), rep);
-  AttributeSet seeded = MapSet(seeded_attributes, rep);
-  initial.insert(seeded.begin(), seeded.end());
-  FClosure queryable = ComputeFClosure(initial, all_adorned);
-  relevance.queryable_views = queryable.order;
+  const RelevanceContext context =
+      MakeRelevanceContext(query, views, domains, seeded_attributes);
+  relevance.queryable_views = context.queryable_names;
 
   for (const Connection& connection : query.connections()) {
     obs::ScopedSpan find_rel_span(tracer, "plan.find_rel",
                                   connection.ToString());
-    LIMCAP_ASSIGN_OR_RETURN(
-        FindRelReport report,
-        FindRelevantViews(query, connection, views, domains,
-                          seeded_attributes));
+    LIMCAP_ASSIGN_OR_RETURN(FindRelReport report,
+                            RunFindRel(context, query, connection));
     find_rel_span.Counter("kernel_size",
                           static_cast<double>(report.kernel.size()));
     find_rel_span.Counter("relevant_views",

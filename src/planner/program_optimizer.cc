@@ -7,7 +7,7 @@
 
 namespace limcap::planner {
 
-datalog::Program DecomposeWideRules(const datalog::Program& program,
+datalog::Program DecomposeWideRules(datalog::Program program,
                                     std::size_t max_body_atoms,
                                     const std::string& aux_prefix) {
   if (max_body_atoms < 2) return program;
@@ -120,8 +120,8 @@ Result<PlanResult> PlanQuery(const Query& query,
     obs::ScopedSpan build_span(tracer, "plan.build");
     LIMCAP_ASSIGN_OR_RETURN(result.full_program,
                             BuildProgram(query, views, domains, options));
-    result.full_program =
-        DecomposeWideRules(result.full_program, options.max_rule_body_atoms);
+    result.full_program = DecomposeWideRules(std::move(result.full_program),
+                                             options.max_rule_body_atoms);
     build_span.Counter("rules",
                        static_cast<double>(result.full_program.rules().size()));
   }

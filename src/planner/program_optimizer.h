@@ -36,7 +36,7 @@ OptimizedProgram RemoveUselessRules(const datalog::Program& program,
 /// preserved; evaluation of long connection rules drops from exponential
 /// path enumeration to polynomial frontier sizes. `max_body_atoms` < 2 is
 /// treated as "disabled".
-datalog::Program DecomposeWideRules(const datalog::Program& program,
+datalog::Program DecomposeWideRules(datalog::Program program,
                                     std::size_t max_body_atoms,
                                     const std::string& aux_prefix = "aux");
 

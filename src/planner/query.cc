@@ -37,14 +37,13 @@ std::vector<Value> Query::InputValuesFor(const std::string& attribute) const {
 
 Status Query::Validate(const capability::SourceCatalog& catalog,
                        const DomainMap& domains) const {
-  AttributeSet catalog_attributes = catalog.AllAttributes();
   AttributeSet input_attributes = InputAttributes();
 
   for (const InputAssignment& input : inputs_) {
-    if (catalog_attributes.count(input.attribute) > 0) continue;
+    if (catalog.HasAttribute(input.attribute)) continue;
     // Accept a user-side attribute that feeds a shared domain.
     bool shares_domain = false;
-    for (const std::string& attribute : catalog_attributes) {
+    for (const std::string& attribute : catalog.AllAttributes()) {
       if (domains.SameDomain(input.attribute, attribute)) {
         shares_domain = true;
         break;
@@ -59,7 +58,7 @@ Status Query::Validate(const capability::SourceCatalog& catalog,
   }
   std::set<std::string> output_set;
   for (const std::string& output : outputs_) {
-    if (catalog_attributes.count(output) == 0) {
+    if (!catalog.HasAttribute(output)) {
       return Status::InvalidArgument("output attribute not in any view: " +
                                      output);
     }

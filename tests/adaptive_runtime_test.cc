@@ -685,7 +685,7 @@ class GateSource : public capability::Source {
 
   const SourceView& view() const override { return view_; }
 
-  Result<Relation> Execute(const SourceQuery& query) override {
+  Result<Relation> Execute(const SourceQuery& /*query*/) override {
     std::unique_lock<std::mutex> lock(mutex_);
     ++entered_;
     entered_cv_.notify_all();

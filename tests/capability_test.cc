@@ -184,6 +184,8 @@ TEST(SourceCatalogTest, RegisterAndFind) {
   EXPECT_EQ(catalog.ViewNames(), (std::vector<std::string>{"v3"}));
   EXPECT_EQ(catalog.AllAttributes(),
             (AttributeSet{"Artist", "Cd", "Price"}));
+  EXPECT_TRUE(catalog.HasAttribute("Artist"));
+  EXPECT_FALSE(catalog.HasAttribute("Song"));
 }
 
 TEST(SourceCatalogTest, RejectsDuplicateNames) {

@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <set>
 #include <unordered_set>
 
+#include "bench_report.h"
 #include "common/hash.h"
+#include "common/json.h"
 #include "common/result.h"
 #include "common/rng.h"
 #include "common/status.h"
@@ -248,6 +251,54 @@ TEST(RngTest, DoubleInUnitInterval) {
     EXPECT_GE(d, 0.0);
     EXPECT_LT(d, 1.0);
   }
+}
+
+TEST(JsonTest, GetUnsignedChecksTheRange) {
+  auto parsed = Json::Parse(
+      R"({"zero":0,"big":18446744073709549568,"neg":-1,"frac":1.5,)"
+      R"("huge":1e300,"two64":18446744073709551616,"text":"7","nul":null})");
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  EXPECT_EQ(parsed->GetUnsigned("zero").value_or(9), 0u);
+  EXPECT_EQ(parsed->GetUnsigned("big").value_or(0), 18446744073709549568u);
+  EXPECT_EQ(parsed->GetUnsigned("absent", 5).value_or(0), 5u);
+  EXPECT_EQ(parsed->GetUnsigned("nul", 6).value_or(0), 6u);
+  for (const char* bad : {"neg", "frac", "huge", "two64", "text"}) {
+    auto value = parsed->GetUnsigned(bad);
+    ASSERT_FALSE(value.ok()) << bad;
+    EXPECT_EQ(value.status().code(), StatusCode::kInvalidArgument);
+  }
+  Json nan = Json::MakeObject();
+  nan.Set("n", std::nan(""));
+  EXPECT_FALSE(nan.GetUnsigned("n").ok());
+}
+
+TEST(JsonTest, NonFiniteNumbersDumpAsNull) {
+  Json message = Json::MakeObject();
+  message.Set("nan", std::nan(""));
+  message.Set("inf", -HUGE_VAL);
+  EXPECT_EQ(message.Dump(), "{\"inf\":null,\"nan\":null}");
+  EXPECT_TRUE(Json::Parse(message.Dump()).ok());
+}
+
+TEST(BenchReportTest, ControlCharactersAndNanParseBack) {
+  benchreport::Reporter reporter("report");
+  reporter.AddRow("row\x01\x1f\n\"quoted\"")
+      .Set("ratio", std::nan(""))
+      .Set("count", 3.0)
+      .Set("note", std::string("tab\there"));
+  reporter.Invariant("bell\a", true);
+  auto parsed = Json::Parse(reporter.Render());
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  EXPECT_EQ(parsed->GetString("bench"), "report");
+  EXPECT_EQ(parsed->GetNumber("failures", -1), 0);
+  const Json& row = parsed->Get("rows").array().at(0);
+  EXPECT_EQ(row.GetString("name"), "row\x01\x1f\n\"quoted\"");
+  EXPECT_TRUE(row.Get("ratio").is_null());
+  EXPECT_EQ(row.GetNumber("count"), 3);
+  EXPECT_EQ(row.GetString("note"), "tab\there");
+  const Json& invariant = parsed->Get("invariants").array().at(0);
+  EXPECT_EQ(invariant.GetString("name"), "bell\a");
+  EXPECT_TRUE(invariant.GetBool("passed"));
 }
 
 }  // namespace

@@ -55,9 +55,15 @@ TEST_P(ParserFuzz, RandomBytesNeverCrash) {
     auto p3 = planner::ParseQuery(soup);
     // Reaching here without crashing is the assertion; statuses must be
     // either OK or a structured error, never empty messages on failure.
-    if (!p1.ok()) EXPECT_FALSE(p1.status().message().empty());
-    if (!p2.ok()) EXPECT_FALSE(p2.status().message().empty());
-    if (!p3.ok()) EXPECT_FALSE(p3.status().message().empty());
+    if (!p1.ok()) {
+      EXPECT_FALSE(p1.status().message().empty());
+    }
+    if (!p2.ok()) {
+      EXPECT_FALSE(p2.status().message().empty());
+    }
+    if (!p3.ok()) {
+      EXPECT_FALSE(p3.status().message().empty());
+    }
   }
 }
 

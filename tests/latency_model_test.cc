@@ -1,8 +1,8 @@
 #include <gtest/gtest.h>
 
-#include "exec/latency_model.h"
 #include "exec/query_answerer.h"
 #include "paperdata/paper_examples.h"
+#include "runtime/latency_model.h"
 
 namespace limcap::exec {
 namespace {
@@ -15,7 +15,7 @@ capability::AccessRecord Record(const char* source, std::size_t round) {
 }
 
 TEST(LatencyModelTest, Lookup) {
-  LatencyModel model;
+  runtime::LatencyModel model;
   model.default_latency_ms = 40;
   model.per_source_ms["slow"] = 500;
   EXPECT_DOUBLE_EQ(model.LatencyOf("slow"), 500);
@@ -29,10 +29,10 @@ TEST(LatencyModelTest, HandComputedMakespans) {
   log.Record(Record("a", 0));
   log.Record(Record("b", 0));
   log.Record(Record("b", 1));
-  LatencyModel model;
+  runtime::LatencyModel model;
   model.per_source_ms = {{"a", 100}, {"b", 30}};
 
-  MakespanReport report = EstimateMakespan(log, model);
+  runtime::MakespanReport report = runtime::EstimateMakespan(log, model);
   EXPECT_DOUBLE_EQ(report.sequential_ms, 100 + 100 + 30 + 30);
   // Parallel: max(100, 30) + 30.
   EXPECT_DOUBLE_EQ(report.parallel_ms, 100 + 30);
@@ -43,8 +43,8 @@ TEST(LatencyModelTest, HandComputedMakespans) {
 }
 
 TEST(LatencyModelTest, EmptyLog) {
-  MakespanReport report = EstimateMakespan(capability::AccessLog(),
-                                           LatencyModel());
+  runtime::MakespanReport report = runtime::EstimateMakespan(
+      capability::AccessLog(), runtime::LatencyModel());
   EXPECT_DOUBLE_EQ(report.sequential_ms, 0);
   EXPECT_DOUBLE_EQ(report.ParallelSpeedup(), 1.0);
   EXPECT_EQ(report.rounds, 0u);
@@ -56,8 +56,8 @@ TEST(LatencyModelTest, Example21RoundsGiveRealSpeedup) {
   auto report = answerer.Answer(example.query);
   ASSERT_TRUE(report.ok());
 
-  MakespanReport makespan =
-      EstimateMakespan(report->exec.log, LatencyModel());
+  runtime::MakespanReport makespan =
+      runtime::EstimateMakespan(report->exec.log, runtime::LatencyModel());
   // 12 sequential queries at 50 ms each.
   EXPECT_DOUBLE_EQ(makespan.sequential_ms, 12 * 50.0);
   // Rounds exist and intra-round parallelism saves time.

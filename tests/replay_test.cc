@@ -10,8 +10,8 @@
 // degraded partial answers), serial and concurrent dispatch.
 //
 // The golden test pins `limcap_explain --replay`'s rendered report for
-// a captured Example 2.1 run. Regenerate with
-//   LIMCAP_REGEN_GOLDEN=1 build/tests/replay_test \
+// a captured Example 2.1 run. Regenerate with (one command line)
+//   LIMCAP_REGEN_GOLDEN=1 build/tests/replay_test
 //       --gtest_filter=ReplayGoldenTest.Example21RenderedReport
 
 #include <gtest/gtest.h>
@@ -409,7 +409,8 @@ TEST(ReplayRoundTripTest, AdaptiveFaultInjectedRunReplays) {
 // today's code, and (b) match a fresh live recording of the same
 // scenario — so any behavior drift in planning, scheduling or adaptive
 // dispatch fails here before it ships. Regenerate intentionally with
-//   LIMCAP_REGEN_GOLDEN=1 build/tests/replay_test \
+// (one command line)
+//   LIMCAP_REGEN_GOLDEN=1 build/tests/replay_test
 //       --gtest_filter='ReplayCorpusTest.*'
 // ---------------------------------------------------------------------------
 

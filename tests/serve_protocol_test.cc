@@ -199,5 +199,72 @@ TEST(ServeProtocolTest, RendersAnswersWithRowsAndStatusWithStats) {
   session.Shutdown();
 }
 
+TEST(ServeProtocolTest, OutOfRangeNumbersGetErrorRepliesAndServingContinues) {
+  PaperExample example = paperdata::MakeExample21();
+  Mediator mediator(&example.catalog, example.domains);
+  ServeSession session(&mediator, {});
+  // One frame through the server's path: decode, parse, validate, then
+  // either an error reply or the session's answer.
+  auto serve_frame = [&](const std::string& payload) {
+    std::size_t consumed = 0;
+    Result<std::string> frame = DecodeFrame(EncodeFrame(payload), &consumed);
+    EXPECT_TRUE(frame.ok());
+    Result<Json> message = Json::Parse(frame.value_or(""));
+    EXPECT_TRUE(message.ok()) << payload;
+    Result<WireRequest> wire =
+        ParseWireRequest(message.value_or(Json::MakeObject()));
+    if (!wire.ok()) {
+      ServeResponse refused;
+      refused.report = wire.status();
+      return RenderResponse(0, refused);
+    }
+    return RenderResponse(wire->id, session.Answer(std::move(wire->request)));
+  };
+  const std::string query = Json(example.query.ToString()).Dump();
+  const std::string valid =
+      "{\"type\":\"query\",\"id\":7,\"query\":" + query + "}";
+
+  for (const char* field : {"id", "max_source_queries", "min_answers"}) {
+    // Negative, fractional, huge, and exactly 2^64: each would be
+    // undefined behaviour as a cast to an unsigned integer.
+    for (const char* number :
+         {"-1", "1.5", "1e300", "18446744073709551616"}) {
+      const std::string payload = "{\"type\":\"query\",\"query\":" + query +
+                                  ",\"" + field + "\":" + number + "}";
+      const Json reply = serve_frame(payload);
+      EXPECT_EQ(reply.GetString("type"), "error") << payload;
+      EXPECT_EQ(reply.GetNumber("code", -1),
+                static_cast<int>(StatusCode::kInvalidArgument))
+          << payload;
+      EXPECT_NE(reply.GetString("message").find(field), std::string::npos)
+          << reply.Dump();
+      // The session keeps serving.
+      const Json answer = serve_frame(valid);
+      EXPECT_EQ(answer.GetString("type"), "answer") << answer.Dump();
+      EXPECT_EQ(answer.GetNumber("id", 0), 7);
+    }
+  }
+
+  // Absent and 0 keep their meaning: no override of the defaults.
+  for (const char* extra :
+       {"", ",\"max_source_queries\":0,\"min_answers\":0"}) {
+    const std::string payload =
+        "{\"type\":\"query\",\"query\":" + query + extra + "}";
+    auto wire = ParseWireRequest(*Json::Parse(payload));
+    ASSERT_TRUE(wire.ok()) << wire.status();
+    EXPECT_EQ(wire->id, 0u);
+    EXPECT_EQ(wire->request.max_source_queries,
+              ServeRequest().max_source_queries);
+    EXPECT_EQ(wire->request.min_answers, ServeRequest().min_answers);
+  }
+  // The largest id below 2^64 that a double holds still parses.
+  auto largest = ParseWireRequest(*Json::Parse(
+      "{\"type\":\"query\",\"id\":18446744073709549568,\"query\":" + query +
+      "}"));
+  ASSERT_TRUE(largest.ok()) << largest.status();
+  EXPECT_EQ(largest->id, 18446744073709549568u);
+  session.Shutdown();
+}
+
 }  // namespace
 }  // namespace limcap::mediator

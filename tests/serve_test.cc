@@ -327,11 +327,11 @@ relational::Relation OneRowRelation() {
 
 TEST(ServeGovernorTest, FollowersShareTheLeadersOutcomeInFlightOnly) {
   FetchGovernor governor;
-  FetchGovernor::Ticket leader = governor.Begin("v1\x1f0=sx");
+  FetchGovernor::Ticket leader = governor.Begin("v1\x1f" "0=sx");
   EXPECT_TRUE(leader.leader);
-  FetchGovernor::Ticket follower = governor.Begin("v1\x1f0=sx");
+  FetchGovernor::Ticket follower = governor.Begin("v1\x1f" "0=sx");
   EXPECT_FALSE(follower.leader);
-  governor.Complete("v1\x1f0=sx", leader, OneRowRelation());
+  governor.Complete("v1\x1f" "0=sx", leader, OneRowRelation());
   auto shared = FetchGovernor::Wait(follower);
   ASSERT_TRUE(shared.ok()) << shared.status();
   EXPECT_EQ(shared->size(), 1u);
@@ -339,10 +339,10 @@ TEST(ServeGovernorTest, FollowersShareTheLeadersOutcomeInFlightOnly) {
 
   // The key is retired at Complete — this is in-flight sharing, not a
   // result cache: the next Begin leads again.
-  FetchGovernor::Ticket next = governor.Begin("v1\x1f0=sx");
+  FetchGovernor::Ticket next = governor.Begin("v1\x1f" "0=sx");
   EXPECT_TRUE(next.leader);
-  FetchGovernor::Ticket late = governor.Begin("v1\x1f0=sx");
-  governor.Complete("v1\x1f0=sx", next, Status::Unavailable("down"));
+  FetchGovernor::Ticket late = governor.Begin("v1\x1f" "0=sx");
+  governor.Complete("v1\x1f" "0=sx", next, Status::Unavailable("down"));
   auto failed = FetchGovernor::Wait(late);
   EXPECT_FALSE(failed.ok());
   EXPECT_EQ(failed.status().code(), StatusCode::kUnavailable);

@@ -136,8 +136,8 @@ void ReaderLoop(std::shared_ptr<Connection> connection,
       continue;
     }
     const std::string type = message->GetString("type");
-    const uint64_t id =
-        static_cast<uint64_t>(message->GetNumber("id", 0));
+    // A malformed id gets its error reply under id 0.
+    const uint64_t id = message->GetUnsigned("id").value_or(0);
     if (type == "query") {
       limcap::Result<WireRequest> wire = ParseWireRequest(*message);
       if (!wire.ok()) {
