@@ -1,13 +1,10 @@
 #include "exec/query_answerer.h"
 
-#include "exec/bind_join.h"
-#include "planner/closure.h"
-
 namespace limcap::exec {
 
 namespace {
 
-/// Plan-shape counters, recorded once per PlanQuery on every answer path.
+/// Plan-shape counters, recorded once per answer, warm or cold.
 void RecordPlanMetrics(const planner::PlanResult& plan,
                        obs::MetricsRegistry* metrics) {
   if (metrics == nullptr) return;
@@ -21,40 +18,30 @@ void RecordPlanMetrics(const planner::PlanResult& plan,
                double(plan.removed_rules.size()));
 }
 
-/// The gate mode as the plan-cache config tag: the gate is the one exec
-/// knob that changes the compiled artifact (kPrune rewrites the program,
-/// kWarn attaches verdicts), so plans compiled under different modes must
-/// not share a cache key.
-std::string_view StaticAnalysisModeTag(StaticAnalysisMode mode) {
+/// The plan-cache config tag: the gate mode, which is the one exec knob
+/// that changes the compiled artifact (kPrune rewrites the program, kWarn
+/// attaches verdicts), plus the program variant. Plans compiled under
+/// different modes or variants must not share a cache key; the optimized
+/// variant's tag is the bare mode.
+std::string_view PlanCacheConfigTag(StaticAnalysisMode mode,
+                                    bool full_program) {
   switch (mode) {
     case StaticAnalysisMode::kOff:
-      return "off";
+      return full_program ? "off/full" : "off";
     case StaticAnalysisMode::kWarn:
-      return "warn";
+      return full_program ? "warn/full" : "warn";
     case StaticAnalysisMode::kReject:
-      return "reject";
+      return full_program ? "reject/full" : "reject";
     case StaticAnalysisMode::kPrune:
-      return "prune";
+      return full_program ? "prune/full" : "prune";
   }
-  return "off";
+  return full_program ? "off/full" : "off";
 }
 
-/// The execution options a path hands its evaluator: under kPrune, the
-/// gate's (or a warm cache hit's replayed) binding-flow verdicts become
-/// the evaluator's pruned-channel list, so statically irrelevant fetch
-/// channels are never scheduled. Other modes execute unchanged.
-ExecOptions WithStaticPrunes(const ExecOptions& options,
-                             const AnswerReport& report) {
-  ExecOptions out = options;
-  if (options.static_analysis == StaticAnalysisMode::kPrune &&
-      report.analysis_ran && report.analysis.binding_flow_ran) {
-    out.pruned_channels = report.analysis.binding_flow.PrunedChannels();
-  }
-  return out;
-}
-
-}  // namespace
-
+/// Fills `report->degraded_connections` with the ToString() of every
+/// connection that traverses a failed view (Section 7.2 partial-answer
+/// semantics): the execution's answer is sound, but those connections may
+/// be under-answered.
 void AnnotateDegradedConnections(
     const std::vector<planner::Connection>& connections,
     runtime::FetchReport* report) {
@@ -69,6 +56,8 @@ void AnnotateDegradedConnections(
     }
   }
 }
+
+}  // namespace
 
 Result<datalog::Program> ApplyStaticAnalysisGate(
     const datalog::Program& program,
@@ -128,39 +117,69 @@ Result<AnswerReport> QueryAnswerer::Answer(const planner::Query& query,
   // rejected query leaves a caller-supplied dictionary untouched.
   LIMCAP_RETURN_NOT_OK(query.Validate(*catalog_, domains_));
   QueryContext context(options, query);
-  return Answer(query, context);
+  obs::ScopedSpan answer_span(context.options().tracer, "answer");
+  return RunPipeline(query, context, /*full_program=*/false, nullptr);
 }
 
 Result<AnswerReport> QueryAnswerer::Answer(const planner::Query& query,
                                            QueryContext& context) const {
   LIMCAP_RETURN_NOT_OK(query.Validate(*catalog_, domains_));
+  obs::ScopedSpan answer_span(context.options().tracer, "answer");
+  return RunPipeline(query, context, /*full_program=*/false, nullptr);
+}
+
+Result<AnswerReport> QueryAnswerer::AnswerUnoptimized(
+    const planner::Query& query, const ExecOptions& options) const {
+  LIMCAP_RETURN_NOT_OK(query.Validate(*catalog_, domains_));
+  QueryContext context(options, query);
+  obs::ScopedSpan answer_span(context.options().tracer, "answer",
+                              "unoptimized");
+  return RunPipeline(query, context, /*full_program=*/true, nullptr);
+}
+
+Result<AnswerReport> QueryAnswerer::AnswerWithCache(
+    const planner::Query& query,
+    const std::map<std::string, relational::Relation>& cached,
+    const ExecOptions& options) const {
+  LIMCAP_RETURN_NOT_OK(query.Validate(*catalog_, domains_));
+  QueryContext context(options, query);
+  obs::ScopedSpan answer_span(context.options().tracer, "answer", "cached");
+  return RunPipeline(query, context, /*full_program=*/false, &cached);
+}
+
+Result<AnswerReport> QueryAnswerer::RunPipeline(
+    const planner::Query& query, QueryContext& context, bool full_program,
+    const std::map<std::string, relational::Relation>* cached) const {
   const ExecOptions& session_options = context.options();
-  obs::ScopedSpan answer_span(session_options.tracer, "answer");
   AnswerReport report;
 
   // Warm path: look the (catalog fingerprint, query signature) key up
   // before planning. A hit replays the compiled artifact — the plan, the
   // analysis verdicts, and the post-gate executable program — and goes
   // straight to execution. The session dictionary was already seeded with
-  // the query's input constants above, in the same order as on the cold
-  // path, so execution proceeds over an identically-evolving dictionary
-  // and the warm answer is bit-identical to the cold one.
-  std::shared_ptr<const planner::CachedPlan> cached;
+  // the query's input constants when the context was built, in the same
+  // order as on the cold path, so execution proceeds over an
+  // identically-evolving dictionary and the warm answer is bit-identical
+  // to the cold one. Section 7.1 tuples are compiled into the program, so
+  // an answer given them never uses the cache.
+  planner::PlanCache* plan_cache =
+      cached == nullptr ? session_options.plan_cache : nullptr;
+  std::shared_ptr<const planner::CachedPlan> hit;
   planner::QuerySignature signature;
-  if (session_options.plan_cache != nullptr) {
+  if (plan_cache != nullptr) {
     obs::ScopedSpan lookup_span(session_options.tracer, "plan.cache_lookup");
     LIMCAP_ASSIGN_OR_RETURN(
         signature,
         planner::MakeQuerySignature(
             query, *catalog_, domains_, session_options.builder,
-            StaticAnalysisModeTag(session_options.static_analysis)));
+            PlanCacheConfigTag(session_options.static_analysis,
+                               full_program)));
     report.cache.attempted = true;
     report.cache.catalog_fingerprint = catalog_->fingerprint();
     report.cache.key_fingerprint = signature.hash;
     report.cache.signature = signature.canonical;
-    cached = session_options.plan_cache->Lookup(
-        report.cache.catalog_fingerprint, signature);
-    report.cache.hit = cached != nullptr;
+    hit = plan_cache->Lookup(report.cache.catalog_fingerprint, signature);
+    report.cache.hit = hit != nullptr;
     lookup_span.Counter("hit", report.cache.hit ? 1 : 0);
     if (session_options.metrics != nullptr) {
       session_options.metrics->Add(report.cache.hit
@@ -169,14 +188,18 @@ Result<AnswerReport> QueryAnswerer::Answer(const planner::Query& query,
     }
   }
 
-  datalog::Program program;
-  if (cached != nullptr) {
-    report.plan = cached->plan;
-    program = cached->executable_program;
+  // The program to execute: the hit's compiled artifact, or the gate's
+  // output below.
+  datalog::Program gated;
+  const datalog::Program* program = &gated;
+  if (hit != nullptr) {
+    report.plan = hit->plan;
+    program = &hit->executable_program;
     RecordPlanMetrics(report.plan, session_options.metrics);
-    if (cached->analysis_ran) {
-      report.analysis = *std::static_pointer_cast<const analysis::AnalysisResult>(
-          cached->verdicts);
+    if (hit->analysis_ran) {
+      report.analysis =
+          *std::static_pointer_cast<const analysis::AnalysisResult>(
+              hit->verdicts);
       report.analysis_ran = true;
       // Mirror the gate's accounting so warm and cold answers report the
       // same metrics.
@@ -187,36 +210,66 @@ Result<AnswerReport> QueryAnswerer::Answer(const planner::Query& query,
       }
     }
   } else {
+    // Cached views seed their attributes' domains, which can make views —
+    // and whole connections — queryable that a cold start would drop.
+    capability::AttributeSet seeded;
+    if (cached != nullptr) {
+      for (const auto& [name, tuples] : *cached) {
+        if (tuples.empty()) continue;
+        LIMCAP_ASSIGN_OR_RETURN(const capability::SourceView* view,
+                                catalog_->FindView(name));
+        capability::AttributeSet attrs = view->Attributes();
+        seeded.insert(attrs.begin(), attrs.end());
+      }
+    }
     // One snapshot of the catalog serves both planning and the gate.
     const std::vector<capability::SourceView> views = catalog_->Views();
     LIMCAP_ASSIGN_OR_RETURN(
         report.plan, planner::PlanQuery(query, views, domains_,
-                                        session_options.builder, {},
+                                        session_options.builder, seeded,
                                         session_options.tracer));
     RecordPlanMetrics(report.plan, session_options.metrics);
-    LIMCAP_ASSIGN_OR_RETURN(
-        program, ApplyStaticAnalysisGate(report.plan.optimized_program, views,
-                                         domains_, session_options, &report));
+    const datalog::Program* chosen = full_program
+                                         ? &report.plan.full_program
+                                         : &report.plan.optimized_program;
+    // Fold the cached tuples in as fact rules (Section 7.1). Facts only
+    // add derivations, so the relevance analysis computed without them
+    // stays sound; the gate runs after, because the facts seed domains
+    // and rules a cold-start analysis would call dead may fire here.
+    datalog::Program with_tuples;
+    if (cached != nullptr) {
+      with_tuples = *chosen;
+      for (const auto& [name, tuples] : *cached) {
+        LIMCAP_ASSIGN_OR_RETURN(const capability::SourceView* view,
+                                catalog_->FindView(name));
+        for (const relational::Row& row : tuples.DecodedRows()) {
+          LIMCAP_RETURN_NOT_OK(planner::AddCachedTupleRules(
+              *view, row, domains_, session_options.builder, &with_tuples));
+        }
+      }
+      chosen = &with_tuples;
+    }
+    LIMCAP_ASSIGN_OR_RETURN(gated,
+                            ApplyStaticAnalysisGate(*chosen, views, domains_,
+                                                    session_options, &report));
     // Publish the artifact. kReject failures never reach this point (the
     // gate returned the error above), so rejections are re-diagnosed —
     // and re-reported — on every attempt.
-    if (report.cache.attempted) {
+    if (plan_cache != nullptr) {
       auto entry = std::make_shared<planner::CachedPlan>();
       entry->plan = report.plan;
-      entry->executable_program = program;
+      entry->executable_program = gated;
       entry->analysis_ran = report.analysis_ran;
       if (report.analysis_ran) {
         entry->verdicts =
             std::make_shared<const analysis::AnalysisResult>(report.analysis);
       }
       entry->catalog_fingerprint = report.cache.catalog_fingerprint;
-      entry->signature = signature;
-      uint64_t evictions_before =
-          session_options.plan_cache->stats().evictions;
-      session_options.plan_cache->Insert(std::move(entry));
+      entry->signature = std::move(signature);
+      uint64_t evictions_before = plan_cache->stats().evictions;
+      plan_cache->Insert(std::move(entry));
       if (session_options.metrics != nullptr) {
-        uint64_t evicted = session_options.plan_cache->stats().evictions -
-                           evictions_before;
+        uint64_t evicted = plan_cache->stats().evictions - evictions_before;
         if (evicted > 0) {
           session_options.metrics->Add(obs::metric::kPlanCacheEvictions,
                                        double(evicted));
@@ -225,177 +278,18 @@ Result<AnswerReport> QueryAnswerer::Answer(const planner::Query& query,
     }
   }
 
-  const ExecOptions exec_options = WithStaticPrunes(session_options, report);
-  SourceDrivenEvaluator evaluator(catalog_, domains_, exec_options);
-  LIMCAP_ASSIGN_OR_RETURN(report.exec, evaluator.Execute(program, query));
-  AnnotateDegradedConnections(report.plan.relevance.queryable_connections,
-                              &report.exec.fetch_report);
-  return report;
-}
-
-Result<AnswerReport> QueryAnswerer::AnswerHybrid(
-    const planner::Query& query, const ExecOptions& options) const {
-  LIMCAP_RETURN_NOT_OK(query.Validate(*catalog_, domains_));
-  QueryContext context(options, query);
-  const ExecOptions& session_options = context.options();
-  const ValueDictionaryPtr& dict = session_options.session_dict;
-  obs::ScopedSpan answer_span(session_options.tracer, "answer", "hybrid");
-  AnswerReport report;
-  LIMCAP_ASSIGN_OR_RETURN(
-      report.plan, planner::PlanQuery(query, catalog_->Views(), domains_,
-                                      session_options.builder, {},
-                                      session_options.tracer));
-  RecordPlanMetrics(report.plan, session_options.metrics);
-
-  // Partition the queryable connections by (attribute-level)
-  // independence.
-  std::vector<planner::Connection> independent;
-  std::vector<planner::Connection> dependent;
-  std::map<std::string, std::vector<std::string>> sequences;
-  for (const planner::Connection& connection :
-       report.plan.relevance.queryable_connections) {
-    std::vector<capability::SourceView> views;
-    for (const std::string& name : connection.view_names()) {
-      LIMCAP_ASSIGN_OR_RETURN(const capability::SourceView* view,
-                              catalog_->FindView(name));
-      views.push_back(*view);
-    }
-    auto sequence =
-        planner::ExecutableSequence(query.InputAttributes(), views);
-    if (sequence.ok()) {
-      sequences.emplace(connection.ToString(), *sequence);
-      independent.push_back(connection);
-    } else {
-      dependent.push_back(connection);
-    }
+  // Under kPrune, the gate's (or a warm hit's replayed) binding-flow
+  // verdicts become the evaluator's pruned-channel list, so statically
+  // irrelevant fetch channels are never scheduled. Other modes execute
+  // unchanged.
+  ExecOptions exec_options = session_options;
+  if (session_options.static_analysis == StaticAnalysisMode::kPrune &&
+      report.analysis_ran && report.analysis.binding_flow_ran) {
+    exec_options.pruned_channels =
+        report.analysis.binding_flow.PrunedChannels();
   }
-
-  // Datalog part for the dependent connections.
-  if (!dependent.empty()) {
-    planner::Query sub(query.inputs(), query.outputs(), dependent);
-    LIMCAP_ASSIGN_OR_RETURN(
-        planner::PlanResult subplan,
-        planner::PlanQuery(sub, catalog_->Views(), domains_,
-                           session_options.builder, {},
-                           session_options.tracer));
-    // The gate covers the Datalog part; the bind-join part below runs
-    // sequences ExecutableSequence already proved executable.
-    LIMCAP_ASSIGN_OR_RETURN(
-        datalog::Program program,
-        ApplyStaticAnalysisGate(subplan.optimized_program, catalog_->Views(),
-                                domains_, session_options, &report));
-    const ExecOptions exec_options =
-        WithStaticPrunes(session_options, report);
-    SourceDrivenEvaluator evaluator(catalog_, domains_, exec_options);
-    LIMCAP_ASSIGN_OR_RETURN(report.exec, evaluator.Execute(program, sub));
-    AnnotateDegradedConnections(dependent, &report.exec.fetch_report);
-  } else {
-    LIMCAP_ASSIGN_OR_RETURN(relational::Schema out_schema,
-                            relational::Schema::Make(query.outputs()));
-    report.exec.answer = relational::Relation(std::move(out_schema), dict);
-    report.exec.session_dict = dict;
-  }
-
-  // Bind-join part for the independent connections, per input
-  // combination (Theorem 4.1: this retrieves their complete answers).
-  std::map<std::string, std::vector<Value>> input_values;
-  for (const planner::InputAssignment& input : query.inputs()) {
-    input_values[input.attribute].push_back(input.value);
-  }
-  std::vector<std::pair<std::string, std::vector<Value>>> choices(
-      input_values.begin(), input_values.end());
-  for (const planner::Connection& connection : independent) {
-    const std::vector<std::string>& sequence =
-        sequences.at(connection.ToString());
-    std::vector<std::size_t> pick(choices.size(), 0);
-    while (true) {
-      std::map<std::string, Value> combo;
-      for (std::size_t i = 0; i < choices.size(); ++i) {
-        combo.emplace(choices[i].first, choices[i].second[pick[i]]);
-      }
-      LIMCAP_RETURN_NOT_OK(
-          ExecuteBindJoinChain(*catalog_, sequence, combo, query.outputs(),
-                               &report.exec.log, &report.exec.answer));
-      std::size_t i = 0;
-      for (; i < pick.size(); ++i) {
-        if (++pick[i] < choices[i].second.size()) break;
-        pick[i] = 0;
-      }
-      if (i == pick.size()) break;
-    }
-  }
-  return report;
-}
-
-Result<AnswerReport> QueryAnswerer::AnswerWithCache(
-    const planner::Query& query,
-    const std::map<std::string, relational::Relation>& cached,
-    const ExecOptions& options) const {
-  LIMCAP_RETURN_NOT_OK(query.Validate(*catalog_, domains_));
-  QueryContext context(options, query);
-  const ExecOptions& session_options = context.options();
-  obs::ScopedSpan answer_span(session_options.tracer, "answer", "cached");
-  AnswerReport report;
-  // Cached views seed their attributes' domains, which can make views —
-  // and whole connections — queryable that a cold start would drop.
-  capability::AttributeSet seeded;
-  for (const auto& [name, tuples] : cached) {
-    if (tuples.empty()) continue;
-    LIMCAP_ASSIGN_OR_RETURN(const capability::SourceView* view,
-                            catalog_->FindView(name));
-    capability::AttributeSet attrs = view->Attributes();
-    seeded.insert(attrs.begin(), attrs.end());
-  }
-  LIMCAP_ASSIGN_OR_RETURN(
-      report.plan, planner::PlanQuery(query, catalog_->Views(), domains_,
-                                      session_options.builder, seeded,
-                                      session_options.tracer));
-  RecordPlanMetrics(report.plan, session_options.metrics);
-  // Fold the cached tuples into the optimized program as fact rules
-  // (Section 7.1). Facts only add derivations, so the relevance analysis
-  // computed without them stays sound.
-  datalog::Program program = report.plan.optimized_program;
-  for (const auto& [name, tuples] : cached) {
-    LIMCAP_ASSIGN_OR_RETURN(const capability::SourceView* view,
-                            catalog_->FindView(name));
-    for (const relational::Row& row : tuples.DecodedRows()) {
-      LIMCAP_RETURN_NOT_OK(planner::AddCachedTupleRules(
-          *view, row, domains_, session_options.builder, &program));
-    }
-  }
-  // Gate after folding the cached facts in: they seed domains, so rules
-  // a cold-start analysis would call dead may fire here.
-  LIMCAP_ASSIGN_OR_RETURN(
-      program, ApplyStaticAnalysisGate(program, catalog_->Views(), domains_,
-                                       session_options, &report));
-  const ExecOptions exec_options = WithStaticPrunes(session_options, report);
-  SourceDrivenEvaluator evaluator(catalog_, domains_, exec_options);
-  LIMCAP_ASSIGN_OR_RETURN(report.exec, evaluator.Execute(program, query));
-  AnnotateDegradedConnections(report.plan.relevance.queryable_connections,
-                              &report.exec.fetch_report);
-  return report;
-}
-
-Result<AnswerReport> QueryAnswerer::AnswerUnoptimized(
-    const planner::Query& query, const ExecOptions& options) const {
-  LIMCAP_RETURN_NOT_OK(query.Validate(*catalog_, domains_));
-  QueryContext context(options, query);
-  const ExecOptions& session_options = context.options();
-  obs::ScopedSpan answer_span(session_options.tracer, "answer",
-                              "unoptimized");
-  AnswerReport report;
-  LIMCAP_ASSIGN_OR_RETURN(
-      report.plan, planner::PlanQuery(query, catalog_->Views(), domains_,
-                                      session_options.builder, {},
-                                      session_options.tracer));
-  RecordPlanMetrics(report.plan, session_options.metrics);
-  LIMCAP_ASSIGN_OR_RETURN(
-      datalog::Program program,
-      ApplyStaticAnalysisGate(report.plan.full_program, catalog_->Views(),
-                              domains_, session_options, &report));
-  const ExecOptions exec_options = WithStaticPrunes(session_options, report);
-  SourceDrivenEvaluator evaluator(catalog_, domains_, exec_options);
-  LIMCAP_ASSIGN_OR_RETURN(report.exec, evaluator.Execute(program, query));
+  SourceDrivenEvaluator evaluator(catalog_, domains_, std::move(exec_options));
+  LIMCAP_ASSIGN_OR_RETURN(report.exec, evaluator.Execute(*program, query));
   AnnotateDegradedConnections(report.plan.relevance.queryable_connections,
                               &report.exec.fetch_report);
   return report;

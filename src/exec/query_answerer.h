@@ -17,8 +17,8 @@ namespace limcap::exec {
 /// What the plan cache did for one answer (all zero/false when no cache
 /// was wired in or the path does not cache).
 struct PlanCacheReport {
-  /// A cache was consulted (options.plan_cache was set on a caching
-  /// path — today that is QueryAnswerer::Answer).
+  /// A cache was consulted: options.plan_cache was set and the answer
+  /// was not given Section 7.1 tuples (AnswerWithCache never caches).
   bool attempted = false;
   /// The plan was served from the cache; planning and the static gate
   /// were skipped.
@@ -44,7 +44,7 @@ struct AnswerReport {
   bool analysis_ran = false;
   /// Plan-cache outcome for this answer.
   PlanCacheReport cache;
-  /// Execution of the optimized program against the sources.
+  /// Execution of the gated program against the sources.
   ExecResult exec;
 };
 
@@ -77,18 +77,10 @@ class QueryAnswerer {
                               QueryContext& context) const;
 
   /// Plans and executes the *unoptimized* Π(Q, V) — used by benches to
-  /// measure what FIND_REL saves.
+  /// measure what FIND_REL saves. Its plan-cache entries are keyed apart
+  /// from Answer()'s.
   Result<AnswerReport> AnswerUnoptimized(const planner::Query& query,
                                          const ExecOptions& options = {}) const;
-
-  /// Hybrid strategy exploiting Theorem 4.1: independent connections are
-  /// executed directly as bind-join chains (their complete answer needs
-  /// no domain exploration), while the remaining connections run through
-  /// the Datalog evaluator; the answers are unioned. Produces the same
-  /// answer as Answer(). `options.max_source_queries` / `min_answers`
-  /// apply to the Datalog part only.
-  Result<AnswerReport> AnswerHybrid(const planner::Query& query,
-                                    const ExecOptions& options = {}) const;
 
   /// Section 7.1: answers `query` with cached data folded in. Each entry
   /// of `cached` maps a view name to previously obtained tuples of that
@@ -96,13 +88,23 @@ class QueryAnswerer {
   /// every tuple becomes an alpha-predicate fact plus domain facts in the
   /// program, potentially unlocking sources and answers the cold start
   /// cannot reach. Fails when a cached view is unknown or a tuple's arity
-  /// mismatches.
+  /// mismatches. Never consults options.plan_cache: the compiled program
+  /// contains the tuples.
   Result<AnswerReport> AnswerWithCache(
       const planner::Query& query,
       const std::map<std::string, relational::Relation>& cached,
       const ExecOptions& options = {}) const;
 
  private:
+  /// The one pipeline behind every entry point: plan-cache lookup,
+  /// planning, the program choice (Π(Q, V) when `full_program`, else the
+  /// optimized Π(Q, V_r)), Section 7.1 tuples folded in when `cached` is
+  /// set, the static gate, cache publication, execution, and the
+  /// degraded-connection annotation. `query` must already be validated.
+  Result<AnswerReport> RunPipeline(
+      const planner::Query& query, QueryContext& context, bool full_program,
+      const std::map<std::string, relational::Relation>* cached) const;
+
   const capability::SourceCatalog* catalog_;
   planner::DomainMap domains_;
 };
@@ -128,15 +130,6 @@ Result<datalog::Program> ApplyStaticAnalysisGate(
 /// contributed. `connections` must be the list the program was built
 /// from — for QueryAnswerer::Answer that is
 /// report.plan.relevance.queryable_connections.
-/// Fills `report->degraded_connections` with the ToString() of every
-/// connection that traverses a failed view (Section 7.2 partial-answer
-/// semantics): the execution's answer is sound, but those connections may
-/// be under-answered. QueryAnswerer calls this after every execution;
-/// exposed so tests and tools can annotate hand-driven executions.
-void AnnotateDegradedConnections(
-    const std::vector<planner::Connection>& connections,
-    runtime::FetchReport* report);
-
 Result<std::map<std::string, relational::Relation>> PerConnectionAnswers(
     const ExecResult& exec,
     const std::vector<planner::Connection>& connections,

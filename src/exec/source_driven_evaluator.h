@@ -110,13 +110,15 @@ struct ExecOptions {
   /// irrelevant or unreachable, so dropping it is answer-preserving.
   std::vector<std::pair<std::string, std::size_t>> pruned_channels;
   /// Compiled-plan cache (optional, non-owning, must outlive the call).
-  /// When set, QueryAnswerer::Answer looks its (catalog fingerprint,
-  /// query signature) key up before planning: a hit skips FIND_REL,
-  /// program construction, Section 6 optimization and the static gate; a
-  /// miss plans as usual and publishes the artifact. The evaluator itself
-  /// ignores this — execution always runs. The mediator wires its
-  /// session cache in here; standalone QueryAnswerer users may share one
-  /// cache across answerers (it is thread-safe).
+  /// When set, QueryAnswerer::Answer and AnswerUnoptimized look their
+  /// (catalog fingerprint, query signature) key up before planning: a hit
+  /// skips FIND_REL, program construction, Section 6 optimization and the
+  /// static gate; a miss plans as usual and publishes the artifact.
+  /// AnswerWithCache never uses it (its program holds the cached
+  /// tuples). The evaluator itself ignores this — execution always runs.
+  /// The mediator wires its session cache in here; standalone
+  /// QueryAnswerer users may share one cache across answerers (it is
+  /// thread-safe).
   planner::PlanCache* plan_cache = nullptr;
   /// Observability (both optional, non-owning, must outlive the
   /// execution; both belong to the driver thread only). `tracer` records

@@ -1,6 +1,7 @@
 #include "replay/replay_artifact.h"
 
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -65,6 +66,41 @@ Result<uint64_t> FingerprintFromString(const std::string& text) {
   return value;
 }
 
+// --- checked numbers -------------------------------------------------------
+
+/// The largest thread count a replay accepts: it sizes the evaluator's
+/// pool from eval_threads and the fetch scheduler's from max_in_flight,
+/// so a crafted artifact must not be able to demand more threads.
+constexpr uint64_t kMaxReplayThreads = 1024;
+
+/// Reads a recorded count: `fallback` when absent, InvalidArgument naming
+/// `key` unless it is a whole number in [0, max]. Artifact numbers are
+/// doubles, and casting a negative, NaN or out-of-range double to an
+/// integer is undefined behaviour.
+Result<uint64_t> GetCount(const Json& json, std::string_view key,
+                          uint64_t fallback,
+                          uint64_t max = std::numeric_limits<uint64_t>::max()) {
+  LIMCAP_ASSIGN_OR_RETURN(const uint64_t value,
+                          json.GetUnsigned(key, fallback));
+  if (value > max) {
+    return Status::InvalidArgument(std::string(key) + " must be at most " +
+                                   std::to_string(max) + ", got " +
+                                   std::to_string(value));
+  }
+  return value;
+}
+
+/// Reads a recorded enum: `fallback` when absent, InvalidArgument naming
+/// `key` unless it is one of the enumerators up to `last`.
+template <typename Enum>
+Result<Enum> GetEnum(const Json& json, std::string_view key, Enum fallback,
+                     Enum last) {
+  LIMCAP_ASSIGN_OR_RETURN(const uint64_t value,
+                          GetCount(json, key, static_cast<uint64_t>(fallback),
+                                   static_cast<uint64_t>(last)));
+  return static_cast<Enum>(value);
+}
+
 /// Budgets use SIZE_MAX as "unlimited"; the artifact stores 0 for it (a
 /// zero budget is meaningless, and JSON numbers cannot hold SIZE_MAX).
 uint64_t BudgetToJson(std::size_t budget) {
@@ -103,8 +139,7 @@ Json RetryPolicyToJson(const runtime::RetryPolicy& policy) {
 
 Result<runtime::RetryPolicy> RetryPolicyFromJson(const Json& json) {
   runtime::RetryPolicy policy;
-  policy.max_attempts =
-      static_cast<std::size_t>(json.GetNumber("attempts", 1));
+  LIMCAP_ASSIGN_OR_RETURN(policy.max_attempts, GetCount(json, "attempts", 1));
   LIMCAP_ASSIGN_OR_RETURN(policy.backoff_base_ms,
                           DoubleFromHex(json.GetString("backoff_base")));
   LIMCAP_ASSIGN_OR_RETURN(policy.backoff_max_ms,
@@ -114,8 +149,8 @@ Result<runtime::RetryPolicy> RetryPolicyFromJson(const Json& json) {
   LIMCAP_ASSIGN_OR_RETURN(double deadline,
                           DoubleFromHex(json.GetString("deadline")));
   policy.deadline_ms = DeadlineFromJson(deadline);
-  policy.breaker.failure_threshold =
-      static_cast<std::size_t>(json.GetNumber("breaker_threshold", 0));
+  LIMCAP_ASSIGN_OR_RETURN(policy.breaker.failure_threshold,
+                          GetCount(json, "breaker_threshold", 0));
   LIMCAP_ASSIGN_OR_RETURN(policy.breaker.cooldown_ms,
                           DoubleFromHex(json.GetString("breaker_cooldown")));
   return policy;
@@ -167,10 +202,11 @@ Json RuntimeOptionsToJson(const runtime::RuntimeOptions& runtime) {
 Result<runtime::RuntimeOptions> RuntimeOptionsFromJson(const Json& json) {
   runtime::RuntimeOptions runtime;
   runtime.concurrent = json.GetBool("concurrent");
-  runtime.max_in_flight =
-      static_cast<std::size_t>(json.GetNumber("max_in_flight", 16));
-  runtime.per_source_max_in_flight = static_cast<std::size_t>(
-      json.GetNumber("per_source_max_in_flight", 4));
+  LIMCAP_ASSIGN_OR_RETURN(
+      runtime.max_in_flight,
+      GetCount(json, "max_in_flight", 16, kMaxReplayThreads));
+  LIMCAP_ASSIGN_OR_RETURN(runtime.per_source_max_in_flight,
+                          GetCount(json, "per_source_max_in_flight", 4));
   runtime.coalesce = json.GetBool("coalesce", true);
   LIMCAP_ASSIGN_OR_RETURN(runtime.seed,
                           U64FromString(json.GetString("seed", "0")));
@@ -202,8 +238,8 @@ Result<runtime::RuntimeOptions> RuntimeOptionsFromJson(const Json& json) {
     LIMCAP_ASSIGN_OR_RETURN(
         runtime.adaptive.hedge_quantile,
         DoubleFromHex(adaptive.GetString("hedge_quantile")));
-    runtime.adaptive.hedge_min_samples =
-        static_cast<std::size_t>(adaptive.GetNumber("hedge_min_samples", 8));
+    LIMCAP_ASSIGN_OR_RETURN(runtime.adaptive.hedge_min_samples,
+                            GetCount(adaptive, "hedge_min_samples", 8));
     LIMCAP_ASSIGN_OR_RETURN(
         runtime.adaptive.hedge_min_delay_ms,
         DoubleFromHex(adaptive.GetString("hedge_min_delay")));
@@ -240,20 +276,29 @@ Result<exec::ExecOptions> ExecOptionsFromJson(const Json& json) {
   options.builder.alpha_suffix = json.GetString("alpha_suffix", "^");
   options.builder.per_connection_goals =
       json.GetBool("per_connection_goals");
-  options.builder.max_rule_body_atoms =
-      static_cast<std::size_t>(json.GetNumber("max_rule_body_atoms", 3));
-  options.static_analysis = static_cast<exec::StaticAnalysisMode>(
-      static_cast<int>(json.GetNumber("static_analysis", 0)));
-  options.mode = static_cast<datalog::Evaluator::Mode>(
-      static_cast<int>(json.GetNumber("mode", 1)));
-  options.eval_threads =
-      static_cast<std::size_t>(json.GetNumber("eval_threads", 0));
-  options.strategy = static_cast<exec::FetchStrategy>(
-      static_cast<int>(json.GetNumber("strategy", 0)));
-  options.max_source_queries = BudgetFromJson(
-      static_cast<uint64_t>(json.GetNumber("max_source_queries", 0)));
-  options.min_answers = BudgetFromJson(
-      static_cast<uint64_t>(json.GetNumber("min_answers", 0)));
+  LIMCAP_ASSIGN_OR_RETURN(options.builder.max_rule_body_atoms,
+                          GetCount(json, "max_rule_body_atoms", 3));
+  LIMCAP_ASSIGN_OR_RETURN(
+      options.static_analysis,
+      GetEnum(json, "static_analysis", exec::StaticAnalysisMode::kOff,
+              exec::StaticAnalysisMode::kPrune));
+  LIMCAP_ASSIGN_OR_RETURN(
+      options.mode,
+      GetEnum(json, "mode", datalog::Evaluator::Mode::kSemiNaive,
+              datalog::Evaluator::Mode::kParallelSemiNaive));
+  LIMCAP_ASSIGN_OR_RETURN(
+      options.eval_threads,
+      GetCount(json, "eval_threads", 0, kMaxReplayThreads));
+  LIMCAP_ASSIGN_OR_RETURN(
+      options.strategy,
+      GetEnum(json, "strategy", exec::FetchStrategy::kRoundBased,
+              exec::FetchStrategy::kEager));
+  LIMCAP_ASSIGN_OR_RETURN(const uint64_t max_source_queries,
+                          GetCount(json, "max_source_queries", 0));
+  options.max_source_queries = BudgetFromJson(max_source_queries);
+  LIMCAP_ASSIGN_OR_RETURN(const uint64_t min_answers,
+                          GetCount(json, "min_answers", 0));
+  options.min_answers = BudgetFromJson(min_answers);
   options.continue_on_source_error =
       json.GetBool("continue_on_source_error");
   LIMCAP_ASSIGN_OR_RETURN(options.runtime,
@@ -314,8 +359,9 @@ Result<FetchRecorder::Attempt> AttemptFromJson(const Json& json) {
     }
     return attempt;
   }
-  attempt.code =
-      static_cast<StatusCode>(static_cast<int>(json.GetNumber("code")));
+  LIMCAP_ASSIGN_OR_RETURN(attempt.code,
+                          GetEnum(json, "code", StatusCode::kOk,
+                                  StatusCode::kProtocolError));
   attempt.message = json.GetString("msg");
   return attempt;
 }
@@ -420,11 +466,14 @@ Json ValueToJson(const Value& value) {
 }
 
 Result<Value> ValueFromJson(const Json& json) {
-  const int kind = static_cast<int>(json.GetNumber("k", -1));
+  if (!json.Has("k")) return Status::InvalidArgument("value without a kind");
+  LIMCAP_ASSIGN_OR_RETURN(
+      const Value::Kind kind,
+      GetEnum(json, "k", Value::Kind::kNull, Value::Kind::kString));
   switch (kind) {
-    case static_cast<int>(Value::Kind::kNull):
+    case Value::Kind::kNull:
       return Value();
-    case static_cast<int>(Value::Kind::kInt64): {
+    case Value::Kind::kInt64: {
       const std::string text = json.GetString("v");
       char* end = nullptr;
       const long long parsed = std::strtoll(text.c_str(), &end, 10);
@@ -433,17 +482,15 @@ Result<Value> ValueFromJson(const Json& json) {
       }
       return Value::Int64(parsed);
     }
-    case static_cast<int>(Value::Kind::kDouble): {
+    case Value::Kind::kDouble: {
       LIMCAP_ASSIGN_OR_RETURN(double parsed,
                               DoubleFromHex(json.GetString("v")));
       return Value::Double(parsed);
     }
-    case static_cast<int>(Value::Kind::kString):
+    case Value::Kind::kString:
       return Value::String(json.GetString("v"));
-    default:
-      return Status::InvalidArgument("bad value kind: " +
-                                     std::to_string(kind));
   }
+  return Status::InvalidArgument("bad value kind");
 }
 
 Json FetchToJson(const runtime::FetchRecorder::Fetch& fetch) {
@@ -482,8 +529,13 @@ Result<runtime::FetchRecorder::Fetch> FetchFromJson(const Json& json) {
         "recorded call with mismatched positions/values");
   }
   for (const Json& position : positions.array()) {
-    fetch.positions.push_back(
-        static_cast<uint32_t>(position.AsNumber()));
+    const double number = position.AsNumber(-1);
+    if (!(number >= 0 && number <= std::numeric_limits<uint32_t>::max() &&
+          number == std::floor(number))) {
+      return Status::InvalidArgument(
+          "recorded call position must be a whole number in [0, 2^32)");
+    }
+    fetch.positions.push_back(static_cast<uint32_t>(number));
   }
   for (const Json& value_json : values.array()) {
     LIMCAP_ASSIGN_OR_RETURN(Value value, ValueFromJson(value_json));
@@ -547,7 +599,9 @@ Json ManifestToJson(const ReplayManifest& manifest) {
 
 Result<ReplayManifest> ManifestFromJson(const Json& json) {
   ReplayManifest manifest;
-  manifest.version = static_cast<uint32_t>(json.GetNumber("version"));
+  LIMCAP_ASSIGN_OR_RETURN(
+      manifest.version,
+      GetCount(json, "version", 0, std::numeric_limits<uint32_t>::max()));
   manifest.query_text = json.GetString("query");
   if (manifest.query_text.empty()) {
     return Status::InvalidArgument("manifest without a query");
@@ -590,13 +644,14 @@ Result<ReplayManifest> ManifestFromJson(const Json& json) {
   LIMCAP_ASSIGN_OR_RETURN(
       manifest.recorded_fingerprint,
       FingerprintFromString(json.GetString("recorded_fingerprint")));
-  manifest.answer_rows =
-      static_cast<uint64_t>(json.GetNumber("answer_rows"));
-  manifest.source_queries =
-      static_cast<uint64_t>(json.GetNumber("source_queries"));
-  manifest.rounds = static_cast<uint64_t>(json.GetNumber("rounds"));
+  LIMCAP_ASSIGN_OR_RETURN(manifest.answer_rows,
+                          GetCount(json, "answer_rows", 0));
+  LIMCAP_ASSIGN_OR_RETURN(manifest.source_queries,
+                          GetCount(json, "source_queries", 0));
+  LIMCAP_ASSIGN_OR_RETURN(manifest.rounds, GetCount(json, "rounds", 0));
   manifest.degraded = json.GetBool("degraded");
-  manifest.body_lines = static_cast<uint64_t>(json.GetNumber("body_lines"));
+  LIMCAP_ASSIGN_OR_RETURN(manifest.body_lines,
+                          GetCount(json, "body_lines", 0));
   LIMCAP_ASSIGN_OR_RETURN(manifest.body_hash,
                           FingerprintFromString(json.GetString("body_hash")));
   return manifest;

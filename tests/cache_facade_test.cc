@@ -42,6 +42,32 @@ TEST(CacheFacadeTest, EmptyCacheEqualsColdStart) {
   EXPECT_TRUE(cold->exec.answer == warm->exec.answer);
 }
 
+TEST(CacheFacadeTest, NeverConsultsThePlanCache) {
+  // The compiled program contains the cached tuples, so it must neither
+  // be served from nor published to the plan cache.
+  auto example = paperdata::MakeExample21();
+  QueryAnswerer answerer(&example.catalog, example.domains);
+  planner::PlanCache plan_cache;
+  ExecOptions options;
+  options.plan_cache = &plan_cache;
+  Relation cached(example.views[3].schema());
+  cached.InsertUnsafe({S("c5"), S("a5"), S("$11")});
+  for (int i = 0; i < 2; ++i) {
+    auto report =
+        answerer.AnswerWithCache(example.query, {{"v4", cached}}, options);
+    ASSERT_TRUE(report.ok()) << report.status();
+    EXPECT_FALSE(report->cache.attempted);
+    EXPECT_FALSE(report->cache.hit);
+    EXPECT_TRUE(report->exec.answer.Contains({S("$11")}));
+  }
+  const planner::PlanCache::Stats stats = plan_cache.stats();
+  EXPECT_EQ(stats.hits, 0u);
+  EXPECT_EQ(stats.misses, 0u);
+  EXPECT_EQ(stats.inserts, 0u);
+  EXPECT_EQ(stats.size, 0u);
+  EXPECT_EQ(plan_cache.size(), 0u);
+}
+
 TEST(CacheFacadeTest, UnknownCachedViewFails) {
   auto example = paperdata::MakeExample21();
   QueryAnswerer answerer(&example.catalog, example.domains);

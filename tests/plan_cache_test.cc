@@ -371,31 +371,46 @@ std::vector<std::pair<std::string, ExecOptions>> EvaluatorConfigs() {
   return configs;
 }
 
+/// The answer entry points that consult the plan cache.
+struct ProgramVariant {
+  const char* name;
+  Result<exec::AnswerReport> (QueryAnswerer::*answer)(
+      const Query&, const ExecOptions&) const;
+};
+
+std::vector<ProgramVariant> ProgramVariants() {
+  return {{"optimized", &QueryAnswerer::Answer},
+          {"unoptimized", &QueryAnswerer::AnswerUnoptimized}};
+}
+
 TEST(PlanCacheTest, WarmAnswerBitIdenticalToColdOnPaperExamples) {
-  for (int example_index = 0; example_index < 4; ++example_index) {
-    for (const auto& [config_name, base_options] : EvaluatorConfigs()) {
-      PaperExample example = MakeExample(example_index);
-      QueryAnswerer answerer(&example.catalog, example.domains);
-      PlanCache cache;
-      ExecOptions options = base_options;
-      options.plan_cache = &cache;
+  for (const ProgramVariant& variant : ProgramVariants()) {
+    for (int example_index = 0; example_index < 4; ++example_index) {
+      for (const auto& [config_name, base_options] : EvaluatorConfigs()) {
+        SCOPED_TRACE(std::string(variant.name) + " example " +
+                     std::to_string(example_index) + " config " +
+                     config_name);
+        PaperExample example = MakeExample(example_index);
+        QueryAnswerer answerer(&example.catalog, example.domains);
+        PlanCache cache;
+        ExecOptions options = base_options;
+        options.plan_cache = &cache;
 
-      auto cold = answerer.Answer(example.query, options);
-      ASSERT_TRUE(cold.ok()) << cold.status();
-      EXPECT_TRUE(cold->cache.attempted);
-      EXPECT_FALSE(cold->cache.hit);
+        auto cold = (answerer.*variant.answer)(example.query, options);
+        ASSERT_TRUE(cold.ok()) << cold.status();
+        EXPECT_TRUE(cold->cache.attempted);
+        EXPECT_FALSE(cold->cache.hit);
 
-      auto warm = answerer.Answer(example.query, options);
-      ASSERT_TRUE(warm.ok()) << warm.status();
-      EXPECT_TRUE(warm->cache.hit)
-          << "example " << example_index << " config " << config_name;
-      EXPECT_EQ(warm->cache.key_fingerprint, cold->cache.key_fingerprint);
-      EXPECT_EQ(warm->cache.catalog_fingerprint,
-                cold->cache.catalog_fingerprint);
-      EXPECT_EQ(OrderedFingerprint(warm->exec),
-                OrderedFingerprint(cold->exec))
-          << "example " << example_index << " config " << config_name;
-      EXPECT_EQ(warm->exec.post_ingest_translations, 0u);
+        auto warm = (answerer.*variant.answer)(example.query, options);
+        ASSERT_TRUE(warm.ok()) << warm.status();
+        EXPECT_TRUE(warm->cache.hit);
+        EXPECT_EQ(warm->cache.key_fingerprint, cold->cache.key_fingerprint);
+        EXPECT_EQ(warm->cache.catalog_fingerprint,
+                  cold->cache.catalog_fingerprint);
+        EXPECT_EQ(OrderedFingerprint(warm->exec),
+                  OrderedFingerprint(cold->exec));
+        EXPECT_EQ(warm->exec.post_ingest_translations, 0u);
+      }
     }
   }
 }
@@ -425,21 +440,36 @@ TEST(PlanCacheTest, WarmPathReplaysAnalysisVerdicts) {
 }
 
 TEST(PlanCacheTest, DistinctGateModesDoNotShareEntries) {
+  // The gate mode and the program variant both change the compiled
+  // artifact, so each (variant, mode) pair compiles its own entry — and
+  // answers exactly as it does without a cache.
   PaperExample example = paperdata::MakeExample21();
   QueryAnswerer answerer(&example.catalog, example.domains);
   PlanCache cache;
-  ExecOptions off;
-  off.plan_cache = &cache;
-  ExecOptions prune;
-  prune.plan_cache = &cache;
-  prune.static_analysis = StaticAnalysisMode::kPrune;
-
-  ASSERT_TRUE(answerer.Answer(example.query, off).ok());
-  auto pruned = answerer.Answer(example.query, prune);
-  ASSERT_TRUE(pruned.ok()) << pruned.status();
-  // The kPrune answer must not have reused the kOff artifact.
-  EXPECT_FALSE(pruned->cache.hit);
-  EXPECT_EQ(cache.size(), 2u);
+  std::size_t answers = 0;
+  for (const ProgramVariant& variant : ProgramVariants()) {
+    for (StaticAnalysisMode mode :
+         {StaticAnalysisMode::kOff, StaticAnalysisMode::kPrune}) {
+      SCOPED_TRACE(std::string(variant.name) + " mode " +
+                   std::to_string(static_cast<int>(mode)));
+      ExecOptions uncached;
+      uncached.static_analysis = mode;
+      ExecOptions options = uncached;
+      options.plan_cache = &cache;
+      auto report = (answerer.*variant.answer)(example.query, options);
+      ASSERT_TRUE(report.ok()) << report.status();
+      EXPECT_FALSE(report->cache.hit);
+      EXPECT_EQ(cache.size(), ++answers);
+      auto reference = (answerer.*variant.answer)(example.query, uncached);
+      ASSERT_TRUE(reference.ok()) << reference.status();
+      EXPECT_EQ(report->exec.log.total_queries(),
+                reference->exec.log.total_queries());
+      EXPECT_EQ(OrderedFingerprint(report->exec),
+                OrderedFingerprint(reference->exec));
+    }
+  }
+  EXPECT_EQ(cache.stats().misses, 4u);
+  EXPECT_EQ(cache.stats().hits, 0u);
 }
 
 // ---------------------------------------------------------------------------

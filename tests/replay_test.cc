@@ -303,10 +303,49 @@ TEST(ReplayArtifactTest, ValueCodecIsExact) {
   }
 }
 
+/// Lays `manifest` and `body` out the way EncodeArtifact does, so a test
+/// can hand-edit either half and reach the decoders with it. The body's
+/// line count and hash are whatever `manifest` says.
+std::string Frame(const Json& manifest, const std::string& body) {
+  const std::string text = manifest.Dump();
+  std::string out = "LCAP";
+  for (uint32_t word :
+       {kReplayArtifactVersion, static_cast<uint32_t>(text.size())}) {
+    for (int shift = 24; shift >= 0; shift -= 8) {
+      out.push_back(static_cast<char>((word >> shift) & 0xff));
+    }
+  }
+  return out + text + body;
+}
+
+/// The JSON number texts no recorded count or enum may hold: negative,
+/// fractional, huge, and 2^64 (one past the largest uint64).
+const std::vector<std::string>& BadNumbers() {
+  static const std::vector<std::string> numbers = {
+      "-1", "1.5", "1e300", "18446744073709551616"};
+  return numbers;
+}
+
+/// `json` with the member at `path` (object keys, outermost first)
+/// replaced by the number `text`.
+Json WithNumber(Json json, const std::vector<std::string>& path,
+                const std::string& text) {
+  Json* node = &json;
+  for (std::size_t i = 0; i + 1 < path.size(); ++i) {
+    node = &node->object()[path[i]];
+  }
+  EXPECT_TRUE(node->Has(path.back())) << path.back();
+  node->Set(path.back(), Json::Parse(text).value());
+  return json;
+}
+
 TEST(ReplayArtifactTest, VerifyManifestDetectsCorruption) {
   paperdata::PaperExample example = paperdata::MakeExample21();
+  // Adaptive dispatch on, so the manifest carries every numeric field.
+  exec::ExecOptions recorded;
+  recorded.runtime.adaptive.enabled = true;
   Result<std::string> bytes = RecordRun(example.catalog, example.domains,
-                                        example.query, {}, nullptr);
+                                        example.query, recorded, nullptr);
   ASSERT_TRUE(bytes.ok()) << bytes.status();
   ASSERT_TRUE(VerifyManifest(*bytes).ok());
 
@@ -332,6 +371,130 @@ TEST(ReplayArtifactTest, VerifyManifestDetectsCorruption) {
   // Garbage is rejected before any parse.
   EXPECT_FALSE(VerifyManifest("not an artifact").ok());
   EXPECT_FALSE(VerifyManifest("").ok());
+
+  // Every recorded count and enum is read with checks: a number no cast
+  // to its integer type keeps defined is InvalidArgument naming the field.
+  Result<ReplayArtifact> artifact = DecodeArtifact(*bytes);
+  ASSERT_TRUE(artifact.ok()) << artifact.status();
+  const Json manifest = ManifestToJson(artifact->manifest);
+  std::string body;
+  for (const auto& call : artifact->calls) {
+    body += FetchToJson(call).Dump() + "\n";
+  }
+  ASSERT_EQ(Frame(manifest, body), *bytes);
+  const std::vector<std::vector<std::string>> fields = {
+      {"version"},
+      {"answer_rows"},
+      {"source_queries"},
+      {"rounds"},
+      {"body_lines"},
+      {"options", "max_rule_body_atoms"},
+      {"options", "static_analysis"},
+      {"options", "mode"},
+      {"options", "eval_threads"},
+      {"options", "strategy"},
+      {"options", "max_source_queries"},
+      {"options", "min_answers"},
+      {"options", "runtime", "max_in_flight"},
+      {"options", "runtime", "per_source_max_in_flight"},
+      {"options", "runtime", "adaptive", "hedge_min_samples"},
+      {"options", "runtime", "retry", "attempts"},
+      {"options", "runtime", "retry", "breaker_threshold"},
+  };
+  // Enum values outside their enumerators, and thread counts above the
+  // replay's cap, are rejected too.
+  std::vector<std::pair<std::vector<std::string>, std::string>> cases = {
+      {{"options", "static_analysis"}, "4"},
+      {{"options", "mode"}, "3"},
+      {{"options", "strategy"}, "2"},
+      {{"options", "eval_threads"}, "1025"},
+      {{"options", "runtime", "max_in_flight"}, "1025"},
+  };
+  for (const std::vector<std::string>& path : fields) {
+    for (const std::string& number : BadNumbers()) {
+      cases.emplace_back(path, number);
+    }
+  }
+  for (const auto& [path, number] : cases) {
+    Result<ReplayManifest> verified =
+        VerifyManifest(Frame(WithNumber(manifest, path, number), body));
+    ASSERT_FALSE(verified.ok()) << path.back() << " = " << number;
+    EXPECT_EQ(verified.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(verified.status().message().find(path.back() + " must be"),
+              std::string::npos)
+        << verified.status().message();
+  }
+  // The cap itself and 0 (automatic) pass.
+  for (const std::vector<std::string>& path :
+       {std::vector<std::string>{"options", "eval_threads"},
+        std::vector<std::string>{"options", "runtime", "max_in_flight"}}) {
+    for (const char* number : {"0", "1024"}) {
+      EXPECT_TRUE(
+          VerifyManifest(Frame(WithNumber(manifest, path, number), body)).ok())
+          << path.back() << " = " << number;
+    }
+  }
+}
+
+TEST(ReplayArtifactTest, DecodeRejectsBadBodyNumbers) {
+  // The body's numbers — a value's kind `k`, a failed attempt's status
+  // `code` and a call's positions — are read with the same checks.
+  paperdata::PaperExample example = paperdata::MakeExample21();
+  Result<std::string> bytes = RecordRun(example.catalog, example.domains,
+                                        example.query, {}, nullptr);
+  ASSERT_TRUE(bytes.ok()) << bytes.status();
+  Result<ReplayArtifact> artifact = DecodeArtifact(*bytes);
+  ASSERT_TRUE(artifact.ok()) << artifact.status();
+  ASSERT_FALSE(artifact->calls.empty());
+  ASSERT_FALSE(artifact->calls[0].values.empty());
+  const Json call = FetchToJson(artifact->calls[0]);
+
+  // A one-call artifact whose body is `line`, restamped to match.
+  auto decode = [&](const Json& line) {
+    const std::string body = line.Dump() + "\n";
+    ReplayManifest manifest = artifact->manifest;
+    manifest.body_lines = 1;
+    manifest.body_hash = StableHash64(body);
+    return DecodeArtifact(Frame(ManifestToJson(manifest), body));
+  };
+  ASSERT_TRUE(decode(call).ok());
+
+  auto with_kind = [&](const std::string& number) {
+    Json line = call;
+    line.object()["v"].array()[0].Set("k", Json::Parse(number).value());
+    return line;
+  };
+  auto with_code = [&](const std::string& number) {
+    Json failed = Json::MakeObject();
+    failed.Set("lat", call.Get("a").array()[0].Get("lat"));
+    failed.Set("code", Json::Parse(number).value());
+    failed.Set("msg", "refused");
+    Json line = call;
+    line.Set("a", Json::Array{failed});
+    return line;
+  };
+  auto with_position = [&](const std::string& number) {
+    Json line = call;
+    line.object()["p"].array()[0] = Json::Parse(number).value();
+    return line;
+  };
+  ASSERT_TRUE(decode(with_code("9")).ok());  // kUnavailable
+  for (const std::string& number : BadNumbers()) {
+    for (const auto& [field, line] :
+         {std::pair<std::string, Json>{"k", with_kind(number)},
+          std::pair<std::string, Json>{"code", with_code(number)},
+          std::pair<std::string, Json>{"position", with_position(number)}}) {
+      Result<ReplayArtifact> decoded = decode(line);
+      ASSERT_FALSE(decoded.ok()) << field << " = " << number;
+      EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
+      EXPECT_NE(decoded.status().message().find(field + " must be"),
+                std::string::npos)
+          << decoded.status().message();
+    }
+  }
+  // Enumerators end at kString and kProtocolError.
+  EXPECT_FALSE(decode(with_kind("4")).ok());
+  EXPECT_FALSE(decode(with_code("13")).ok());
 }
 
 TEST(ReplayArtifactTest, FileRoundTrip) {

@@ -151,15 +151,20 @@ TEST(StaticPruneTest, PruningIrrelevantChannelsSavesSourceQueries) {
   EXPECT_TRUE(baseline_fetched_decoy);
 }
 
-TEST(StaticPruneTest, HybridAndCachedPathsHonorThePruneSet) {
+TEST(StaticPruneTest, UnoptimizedAndCachedPathsHonorThePruneSet) {
   paperdata::PaperExample example = paperdata::MakeExample21();
   QueryAnswerer answerer(&example.catalog, example.domains);
   auto baseline = answerer.Answer(example.query);
   ASSERT_TRUE(baseline.ok());
 
-  auto hybrid = answerer.AnswerHybrid(example.query, SerialPrune());
-  ASSERT_TRUE(hybrid.ok()) << hybrid.status().message();
-  EXPECT_EQ(Rows(hybrid->exec.answer), Rows(baseline->exec.answer));
+  auto unoptimized = answerer.AnswerUnoptimized(example.query, SerialPrune());
+  ASSERT_TRUE(unoptimized.ok()) << unoptimized.status().message();
+  EXPECT_TRUE(unoptimized->analysis.binding_flow_ran);
+  EXPECT_EQ(Rows(unoptimized->exec.answer), Rows(baseline->exec.answer));
+  auto ungated = answerer.AnswerUnoptimized(example.query);
+  ASSERT_TRUE(ungated.ok());
+  EXPECT_LE(unoptimized->exec.log.total_queries(),
+            ungated->exec.log.total_queries());
 
   auto cached = answerer.AnswerWithCache(example.query, {}, SerialPrune());
   ASSERT_TRUE(cached.ok()) << cached.status().message();
