@@ -29,6 +29,10 @@
 // requests on a one-source walk under seeded latency spikes
 // (self-check: the hedged run's simulated makespan beats the unhedged
 // run's with at least one hedge fired and the same answer).
+//
+// A last section answers one wide frontier (about 24k source queries)
+// with serial and with concurrent dispatch and reports the wall time of
+// each, ungated (self-check: identical answers and source queries).
 // Output is one JSON row per configuration.
 
 #include <chrono>
@@ -41,6 +45,7 @@
 #include "analysis/binding_flow.h"
 #include "capability/catalog_text.h"
 #include "capability/in_memory_source.h"
+#include "common/rng.h"
 #include "common/value.h"
 #include "exec/query_answerer.h"
 #include "planner/program_builder.h"
@@ -624,6 +629,74 @@ int main() {
                      "(%.1f vs %.1f ms, %zu hedged)\n",
                      hedged_ms, unhedged_ms, hedge_count);
         ++failures;
+      }
+    }
+  }
+
+  // ------------------------------------------------------------------
+  // Wide frontier: the first pool query of the perfbench wide_fetch
+  // workload (a 2x2-view query on the random-topology catalog with the
+  // CatalogSpec defaults, some 24k source queries, most of them in one
+  // round), answered with serial and with concurrent dispatch. Reports
+  // each run's wall time, with no timing gate; self-checks equal answers
+  // and source-query counts.
+  {
+    limcap::workload::CatalogSpec wide_spec;
+    wide_spec.topology = limcap::workload::CatalogSpec::Topology::kRandom;
+    wide_spec.seed = 42 ^ ~uint64_t{16};
+    auto wide_instance = limcap::workload::GenerateInstance(wide_spec);
+    limcap::workload::QuerySpec wide_shape;
+    wide_shape.num_connections = 2;
+    wide_shape.views_per_connection = 2;
+    limcap::Rng rng(6);
+    limcap::Result<limcap::planner::Query> wide_query =
+        limcap::Status::NotFound("no wide query in 64 seeds");
+    const limcap::exec::QueryAnswerer wide_answerer(&wide_instance.catalog,
+                                                    wide_instance.domains);
+    for (int attempt = 0; attempt < 64 && !wide_query.ok(); ++attempt) {
+      wide_shape.seed = rng.Next();
+      auto candidate =
+          limcap::workload::GenerateQuery(wide_instance, wide_shape);
+      if (!candidate.ok()) continue;
+      auto probe = wide_answerer.Answer(*candidate);
+      if (probe.ok() && !probe->exec.answer.empty() &&
+          probe->exec.log.total_queries() >= 10000) {
+        wide_query = *candidate;
+      }
+    }
+    if (!wide_query.ok()) {
+      std::fprintf(stderr, "FAIL: %s\n",
+                   wide_query.status().ToString().c_str());
+      ++failures;
+    } else {
+      Run wide_serial = AnswerOnce(wide_instance.catalog,
+                                   wide_instance.domains, *wide_query, {});
+      limcap::exec::ExecOptions wide_concurrent_options;
+      wide_concurrent_options.runtime.concurrent = true;
+      Run wide_concurrent =
+          AnswerOnce(wide_instance.catalog, wide_instance.domains,
+                     *wide_query, wide_concurrent_options);
+      if (!wide_serial.report.ok() || !wide_concurrent.report.ok()) {
+        std::fprintf(stderr, "FAIL: wide frontier run failed\n");
+        ++failures;
+      } else {
+        EmitRow("wide_frontier_serial", wide_serial);
+        EmitRow("wide_frontier_concurrent", wide_concurrent);
+        const bool wide_match =
+            wide_serial.report->exec.answer ==
+                wide_concurrent.report->exec.answer &&
+            wide_serial.report->exec.log.total_queries() ==
+                wide_concurrent.report->exec.log.total_queries();
+        reporter.Invariant(
+            "wide frontier: serial and concurrent answers and source "
+            "queries identical",
+            wide_match);
+        if (!wide_match) {
+          std::fprintf(stderr,
+                       "FAIL: wide frontier differs between serial and "
+                       "concurrent dispatch\n");
+          ++failures;
+        }
       }
     }
   }

@@ -52,8 +52,10 @@ bool SourceQuery::BindsPosition(uint32_t pos) const {
 }
 
 bool SourceQuery::Satisfies(const BindingPattern& pattern) const {
-  for (std::size_t pos : pattern.BoundPositions()) {
-    if (!BindsPosition(static_cast<uint32_t>(pos))) return false;
+  for (std::size_t pos = 0; pos < pattern.arity(); ++pos) {
+    if (pattern.IsBound(pos) && !BindsPosition(static_cast<uint32_t>(pos))) {
+      return false;
+    }
   }
   return true;
 }

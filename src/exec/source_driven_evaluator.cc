@@ -1,9 +1,12 @@
 #include "exec/source_driven_evaluator.h"
 
+#include <algorithm>
 #include <functional>
 #include <map>
 #include <memory>
 #include <set>
+#include <span>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -20,29 +23,55 @@ namespace {
 using capability::AccessRecord;
 using capability::Source;
 using capability::SourceQuery;
+using datalog::kNoPredicate;
+using datalog::PredicateId;
 using relational::Relation;
 
-/// Per-(view, template) fetch state: which queries have been issued.
+/// Marks `id` in a bitmap over dense session ids; true when it was
+/// already marked.
+bool TestAndSet(std::vector<bool>& seen, ValueId id) {
+  if (id >= seen.size()) seen.resize(std::size_t{id} + 1);
+  const bool was_seen = seen[id];
+  seen[id] = true;
+  return was_seen;
+}
+
+/// Per-(view, template) fetch state, every name resolved to its id once
+/// per execution.
 struct FetchSpec {
   Source* source = nullptr;
-  std::size_t template_index = 0;
   /// Shared copy for access records, which outlive the execution.
   std::shared_ptr<const capability::SourceView> view;
-  // The template's bound positions in schema order, with the bound
-  // attributes' names and domain predicates.
+  PredicateId view_predicate = kNoPredicate;
+  // The template's bound positions in schema order, with their domain
+  // predicates (kNoPredicate: absent from the program, never formable).
   std::vector<uint32_t> bound_positions;
-  std::vector<std::string> bound_attributes;
-  std::vector<std::string> bound_domains;
-  std::set<std::vector<ValueId>> asked;
+  std::vector<PredicateId> bound_domains;
+  // The template's free positions, with the domain tracker of each.
+  std::vector<uint32_t> free_positions;
+  std::vector<std::size_t> free_trackers;
+  // Semi-naive state. Every combo of domain rows inside the box
+  // [0, watermarks) has been asked; `swept` is set once a round has
+  // dispatched the spec's whole delta (for a template without bound
+  // positions, its single query). `asked` is the spec's predicate in the
+  // execution's asked-set store, declared by the first round that cuts
+  // the spec's delta short (eager's one-query rounds, a budget): it holds
+  // only the combos such rounds dispatched, which the watermarks cannot
+  // express.
+  std::vector<std::size_t> watermarks;
+  bool swept = false;
+  PredicateId asked = kNoPredicate;
+  /// The domain extents this round's delta was enumerated against.
+  std::vector<std::size_t> extents;
 };
 
-/// One frontier entry: a formable, not-yet-asked source query, identified
-/// by its spec and the bound values. Enumerated in serial order (spec
-/// order × odometer order), dispatched by the fetch scheduler, committed
-/// back in this same order.
-struct PendingFetch {
-  std::size_t spec_index = 0;
-  std::vector<ValueId> combo;
+/// First-seen values of one domain, for the "New Binding(s)" column of
+/// the trace: a bitmap over session ids fed by returned rows' free values
+/// and by the domain predicate's rows appended since the last sync.
+struct DomainTracker {
+  PredicateId predicate = kNoPredicate;
+  std::size_t synced = 0;
+  std::vector<bool> seen;
 };
 
 }  // namespace
@@ -65,6 +94,37 @@ Result<ExecResult> SourceDrivenEvaluator::Execute(
   LIMCAP_ASSIGN_OR_RETURN(
       auto evaluator,
       datalog::Evaluator::Create(program, &result.store, eval_options));
+  datalog::FactStore& store = result.store;
+
+  // Tracks the domain values already seen, for the "New Binding(s)"
+  // column of the trace (updated eagerly as queries return, ahead of the
+  // Datalog round that formally derives them). One tracker per distinct
+  // domain of a free position; only unary rows are domain values.
+  std::vector<DomainTracker> trackers;
+  std::map<std::string, std::size_t> tracker_of;
+  auto tracker_for = [&](const std::string& domain) {
+    auto [it, inserted] = tracker_of.try_emplace(domain, trackers.size());
+    if (inserted) {
+      DomainTracker tracker;
+      tracker.predicate = store.FindPredicate(domain);
+      if (tracker.predicate != kNoPredicate &&
+          store.Arity(tracker.predicate) != 1) {
+        tracker.predicate = kNoPredicate;
+      }
+      trackers.push_back(std::move(tracker));
+    }
+    return it->second;
+  };
+  auto sync_domains = [&]() {
+    for (DomainTracker& tracker : trackers) {
+      if (tracker.predicate == kNoPredicate) continue;
+      const std::size_t count = store.Count(tracker.predicate);
+      for (; tracker.synced < count; ++tracker.synced) {
+        TestAndSet(tracker.seen, store.Row(tracker.predicate,
+                                           tracker.synced)[0]);
+      }
+    }
+  };
 
   // Identify the views the program reads and prepare their fetch state.
   // Channels the static gate proved irrelevant (or unreachable) are
@@ -75,6 +135,9 @@ Result<ExecResult> SourceDrivenEvaluator::Execute(
   std::size_t pruned_specs = 0;
   std::set<std::string> mentioned = program.AllPredicates();
   std::vector<FetchSpec> specs;
+  // The specs' asked-sets (FetchSpec::asked): open-addressing row sets
+  // over flat id arenas.
+  datalog::FactStore asked(dict);
   // Channel metadata for the dynamic relevance checker: every (view,
   // template) of every mentioned view, statically pruned ones included
   // (their alpha rules still exist; the taint analysis must know their
@@ -104,19 +167,26 @@ Result<ExecResult> SourceDrivenEvaluator::Execute(
         channels.push_back(std::move(channel));
         continue;
       }
-      channels.push_back(std::move(channel));
-      spec_to_channel.push_back(channels.size() - 1);
       FetchSpec spec;
       spec.source = source;
-      spec.template_index = t;
       spec.view = shared_view;
-      for (std::size_t i : view.templates()[t].BoundPositions()) {
-        const std::string& attribute = view.schema().attribute(i);
-        spec.bound_positions.push_back(static_cast<uint32_t>(i));
-        spec.bound_attributes.push_back(attribute);
-        spec.bound_domains.push_back(domains_.DomainOf(attribute));
+      // Evaluator::Create declared every program predicate.
+      spec.view_predicate = store.FindPredicate(name);
+      const capability::BindingPattern& pattern = view.templates()[t];
+      for (std::size_t i = 0; i < pattern.arity(); ++i) {
+        if (pattern.IsBound(i)) {
+          spec.bound_positions.push_back(static_cast<uint32_t>(i));
+          spec.bound_domains.push_back(
+              store.FindPredicate(channel.domains[i]));
+        } else {
+          spec.free_positions.push_back(static_cast<uint32_t>(i));
+          spec.free_trackers.push_back(tracker_for(channel.domains[i]));
+        }
       }
+      spec.watermarks.assign(spec.bound_positions.size(), 0);
       specs.push_back(std::move(spec));
+      channels.push_back(std::move(channel));
+      spec_to_channel.push_back(channels.size() - 1);
     }
   }
   if (pruned_specs > 0) {
@@ -132,22 +202,6 @@ Result<ExecResult> SourceDrivenEvaluator::Execute(
   // which accrues into `ingest_allowance`.
   const uint64_t translations_at_start = dict->translation_count();
   uint64_t ingest_allowance = 0;
-
-  // Tracks the domain values already seen, for the "New Binding(s)"
-  // column of the trace (updated eagerly as queries return, ahead of the
-  // Datalog round that formally derives them).
-  std::map<std::string, std::set<ValueId>> seen_domain_values;
-  auto domain_seen = [&](const std::string& domain, ValueId id) {
-    auto [it, inserted] = seen_domain_values[domain].insert(id);
-    return !inserted;
-  };
-  auto sync_domains = [&]() {
-    for (const std::string& predicate : result.store.Predicates()) {
-      for (datalog::RowView row : result.store.Facts(predicate)) {
-        if (row.size() == 1) seen_domain_values[predicate].insert(row[0]);
-      }
-    }
-  };
 
   // The source-access runtime. One scheduler serves the whole execution,
   // so circuit-breaker state and the simulated clock carry across rounds.
@@ -181,13 +235,9 @@ Result<ExecResult> SourceDrivenEvaluator::Execute(
   // concurrent dispatch bit-identical to serial: store inserts, log
   // records, and any re-keying Interns happen in the serial order no
   // matter how the batch actually ran.
-  auto commit = [&](const FetchSpec& spec, std::vector<ValueId> combo,
+  auto commit = [&](const FetchSpec& spec, SourceQuery source_query,
                     runtime::FetchResult& fetched) -> Status {
     const capability::SourceView& view = *spec.view;
-    SourceQuery source_query;
-    source_query.positions = spec.bound_positions;
-    source_query.ids = std::move(combo);
-    source_query.dict = dict;
     AccessRecord record;
     record.source = view.name();
     record.query = std::move(source_query);
@@ -210,16 +260,16 @@ Result<ExecResult> SourceDrivenEvaluator::Execute(
     relational::IdRow row_ids;
     for (std::size_t pos = 0; pos < tuples.size(); ++pos) {
       tuples.GatherRowIds(pos, &row_ids);
-      LIMCAP_ASSIGN_OR_RETURN(bool inserted,
-                              result.store.InsertIds(view.name(), row_ids));
+      LIMCAP_ASSIGN_OR_RETURN(
+          bool inserted,
+          store.InsertIds(spec.view_predicate, datalog::RowView(row_ids)));
       if (!inserted) continue;
       ++record.new_tuples;
       record.returned_ids.push_back(row_ids);
       // Report first-seen values of free attributes as new bindings.
-      for (std::size_t i :
-           view.templates()[spec.template_index].FreePositions()) {
-        if (!domain_seen(domains_.DomainOf(view.schema().attribute(i)),
-                         row_ids[i])) {
+      for (std::size_t f = 0; f < spec.free_positions.size(); ++f) {
+        const uint32_t i = spec.free_positions[f];
+        if (!TestAndSet(trackers[spec.free_trackers[f]].seen, row_ids[i])) {
           record.new_binding_ids.emplace_back(view.schema().attribute(i),
                                               row_ids[i]);
         }
@@ -229,42 +279,54 @@ Result<ExecResult> SourceDrivenEvaluator::Execute(
     return Status::OK();
   };
 
-  // Appends every formable, not-yet-asked query of `spec` to `frontier`
-  // in odometer order. Pure reads — nothing is marked asked until the
-  // frontier is truncated to what will actually be dispatched. Captures
-  // sizes, not row views: later inserts may reallocate arenas.
-  auto collect_unasked = [&](std::size_t spec_index,
-                             std::vector<PendingFetch>* frontier) {
+  // One round's frontier: the formable, not-yet-asked source queries in
+  // serial order (spec order × odometer order), the spec of each, and
+  // where each enumerated spec's delta ends. The scheduler dispatches it;
+  // the commit loop folds it back in this same order.
+  std::vector<runtime::FetchRequest> requests;
+  std::vector<std::size_t> request_spec;
+  std::vector<std::pair<std::size_t, std::size_t>> delta_ends;
+  std::vector<ValueId> combo;
+
+  // Appends the delta of `spec_index` — its formable combos outside the
+  // watermark box and the asked-set — to the frontier. Pure reads: the
+  // spec's semi-naive state moves only once the frontier is cut to what
+  // will actually be dispatched. Captures sizes, not row views: later
+  // inserts may reallocate arenas.
+  auto collect_delta = [&](std::size_t spec_index) {
     FetchSpec& spec = specs[spec_index];
-    std::vector<datalog::PredicateId> domain_preds;
-    std::vector<std::size_t> domain_sizes;
-    for (const std::string& domain : spec.bound_domains) {
-      datalog::PredicateId pred = result.store.FindPredicate(domain);
-      if (pred == datalog::kNoPredicate || result.store.Count(pred) == 0) {
-        return;
-      }
-      domain_preds.push_back(pred);
-      domain_sizes.push_back(result.store.Count(pred));
+    spec.extents.clear();
+    for (PredicateId domain : spec.bound_domains) {
+      if (domain == kNoPredicate || store.Count(domain) == 0) return;
+      spec.extents.push_back(store.Count(domain));
     }
-    std::vector<std::size_t> pick(spec.bound_domains.size(), 0);
-    while (true) {
-      std::vector<ValueId> combo;
-      combo.reserve(pick.size());
-      for (std::size_t i = 0; i < pick.size(); ++i) {
-        combo.push_back(result.store.Row(domain_preds[i], pick[i])[0]);
-      }
-      if (spec.asked.count(combo) == 0) {
-        frontier->push_back({spec_index, std::move(combo)});
-      }
-      // Advance the odometer; a view with no bound attribute has exactly
-      // one (empty) query, and the odometer exhausts immediately.
-      std::size_t i = 0;
-      for (; i < pick.size(); ++i) {
-        if (++pick[i] < domain_sizes[i]) break;
-        pick[i] = 0;
-      }
-      if (i == pick.size()) break;
+    auto emit = [&](std::span<const ValueId> ids) {
+      runtime::FetchRequest request;
+      request.source = spec.source;
+      request.query.positions = spec.bound_positions;
+      request.query.ids.assign(ids.begin(), ids.end());
+      request.query.dict = dict;
+      requests.push_back(std::move(request));
+      request_spec.push_back(spec_index);
+    };
+    if (spec.bound_domains.empty()) {
+      // A view with no bound attribute has exactly one (empty) query.
+      if (!spec.swept) emit({});
+    } else {
+      combo.resize(spec.bound_domains.size());
+      ForEachDeltaCombo(
+          spec.extents, spec.watermarks,
+          [&](std::span<const std::size_t> pick) {
+            for (std::size_t i = 0; i < pick.size(); ++i) {
+              combo[i] = store.Row(spec.bound_domains[i], pick[i])[0];
+            }
+            if (spec.asked == kNoPredicate ||
+                !asked.Contains(spec.asked, combo)) {
+              emit(combo);
+            }
+          });
     }
+    delta_ends.emplace_back(spec_index, requests.size());
   };
 
   const std::string& goal = options_.builder.goal_predicate;
@@ -278,7 +340,7 @@ Result<ExecResult> SourceDrivenEvaluator::Execute(
       LIMCAP_RETURN_NOT_OK(evaluator->Run());
     }
     sync_domains();
-    if (result.store.Count(goal) >= options_.min_answers) {
+    if (store.Count(goal) >= options_.min_answers) {
       // Enough results for the user (Section 7.2); stop fetching.
       result.budget_exhausted = true;
       break;
@@ -288,45 +350,61 @@ Result<ExecResult> SourceDrivenEvaluator::Execute(
     // evaluator->Run(), so the full frontier is determined here, before
     // any of its fetches executes — the scheduler may answer it in any
     // physical order and the ordered commit reproduces serial execution.
-    std::vector<PendingFetch> frontier;
+    requests.clear();
+    request_spec.clear();
+    delta_ends.clear();
     for (std::size_t s = 0; s < specs.size(); ++s) {
-      collect_unasked(s, &frontier);
+      collect_delta(s);
       // Eager strategy: one query per round, then go derive.
-      if (eager && !frontier.empty()) break;
+      if (eager && !requests.empty()) break;
     }
     if (checker != nullptr) {
       // The frozen fixpoint must see the FULL frontier's pending
       // channels — entries a budget truncation drops below still count
       // as pending (conservative: their predicates stay unfrozen).
       std::vector<bool> has_pending(channels.size(), false);
-      for (const PendingFetch& pending : frontier) {
-        has_pending[spec_to_channel[pending.spec_index]] = true;
+      for (std::size_t spec_index : request_spec) {
+        has_pending[spec_to_channel[spec_index]] = true;
       }
       checker->BeginRound(has_pending);
     }
-    if (eager && frontier.size() > 1) frontier.resize(1);
+    std::size_t dispatched = requests.size();
+    if (eager) dispatched = std::min<std::size_t>(dispatched, 1);
     // Source-access budget: dispatch only up to the budget's remainder;
     // any formable query beyond it makes the answer a partial one.
     const std::size_t remaining =
         options_.max_source_queries - result.log.total_queries();
-    if (frontier.size() > remaining) {
-      frontier.resize(remaining);
+    if (dispatched > remaining) {
+      dispatched = remaining;
       result.budget_exhausted = true;
       done = true;
     }
-
-    std::vector<runtime::FetchRequest> requests;
-    requests.reserve(frontier.size());
-    for (const PendingFetch& pending : frontier) {
-      FetchSpec& spec = specs[pending.spec_index];
-      spec.asked.insert(pending.combo);
-      runtime::FetchRequest request;
-      request.source = spec.source;
-      request.query.positions = spec.bound_positions;
-      request.query.ids = pending.combo;
-      request.query.dict = dict;
-      requests.push_back(std::move(request));
+    requests.resize(dispatched);
+    request_spec.resize(dispatched);
+    // What goes out counts as asked — a dynamically skipped fetch too (the
+    // skip is final). A spec whose whole delta goes out moves its
+    // watermarks up to this round's extents; the spec the cut falls
+    // inside remembers its dispatched combos instead.
+    std::size_t begin = 0;
+    for (const auto& [spec_index, end] : delta_ends) {
+      FetchSpec& spec = specs[spec_index];
+      if (end <= dispatched) {
+        spec.watermarks = spec.extents;
+        spec.swept = true;
+      } else if (begin < dispatched) {
+        if (spec.asked == kNoPredicate) {
+          LIMCAP_ASSIGN_OR_RETURN(
+              spec.asked, asked.DeclareId(std::to_string(spec_index),
+                                          spec.bound_positions.size()));
+        }
+        for (std::size_t i = begin; i < dispatched; ++i) {
+          LIMCAP_RETURN_NOT_OK(
+              asked.InsertIds(spec.asked, requests[i].query.ids).status());
+        }
+      }
+      begin = end;
     }
+
     if (!requests.empty()) {
       // Everything the batch window translates — source ingest, private-
       // dictionary cloning under concurrent dispatch, re-keying, the
@@ -336,7 +414,7 @@ Result<ExecResult> SourceDrivenEvaluator::Execute(
       if (checker != nullptr) {
         probe = [&](std::size_t i) {
           auto certificate = checker->TrySkip(
-              spec_to_channel[frontier[i].spec_index], frontier[i].combo);
+              spec_to_channel[request_spec[i]], requests[i].query.ids);
           if (!certificate.has_value()) return false;
           result.skip_certificates.push_back(*std::move(certificate));
           return true;
@@ -346,13 +424,13 @@ Result<ExecResult> SourceDrivenEvaluator::Execute(
           dispatcher != nullptr
               ? dispatcher->ExecuteFrontier(requests, probe)
               : scheduler.ExecuteBatch(requests);
-      for (std::size_t i = 0; i < frontier.size(); ++i) {
+      for (std::size_t i = 0; i < requests.size(); ++i) {
         // A dynamically skipped fetch leaves no trace: no source call,
         // no access record, no store insert, no budget spend — only its
-        // certificate (the combo stays marked asked; the skip is final).
+        // certificate.
         if (fetched[i].skipped_dynamic) continue;
-        LIMCAP_RETURN_NOT_OK(commit(specs[frontier[i].spec_index],
-                                    std::move(frontier[i].combo),
+        LIMCAP_RETURN_NOT_OK(commit(specs[request_spec[i]],
+                                    std::move(requests[i].query),
                                     fetched[i]));
       }
       ingest_allowance += dict->translation_count() - before_batch;

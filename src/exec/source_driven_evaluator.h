@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <limits>
 #include <map>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -223,6 +224,56 @@ class SourceDrivenEvaluator {
 /// can aggregate hand-driven executions the same way.
 void RecordExecMetrics(const ExecResult& result,
                        obs::MetricsRegistry* metrics);
+
+/// The semi-naive frontier of one fetch spec. A source query becomes
+/// formable only when a new domain value arrives, so the evaluator keeps,
+/// per bound position, a watermark below which every combination of
+/// domain rows has been asked, and each round visits only the rest.
+/// Calls `fn(pick)` (a span of k row indices) for every tuple of
+/// [0, extents[0]) × … × [0, extents[k-1]) with at least one coordinate at
+/// or past its watermark, in odometer order, position 0 fastest: exactly
+/// the full cross product's odometer sequence with the already-asked box
+/// [0, watermarks) filtered out. The walk never enters a sub-box without
+/// a new coordinate, so its cost is proportional to what it emits. Zero
+/// positions or a zero extent emit nothing; every watermark must be at
+/// most its extent.
+template <typename Fn>
+void ForEachDeltaCombo(std::span<const std::size_t> extents,
+                       std::span<const std::size_t> watermarks, Fn&& fn) {
+  const std::size_t k = extents.size();
+  bool any_new = false;
+  for (std::size_t i = 0; i < k; ++i) {
+    if (extents[i] == 0) return;
+    if (watermarks[i] < extents[i]) any_new = true;
+  }
+  if (!any_new) return;
+  // new_below[j]: some position below j still has unasked rows, so a pick
+  // whose positions j.. all lie inside the box can still become new.
+  // inside[j]: positions j..k-1 of the current pick all lie inside it.
+  std::vector<std::size_t> pick(k);
+  std::vector<char> new_below(k, 0);
+  std::vector<char> inside(k + 1, 1);
+  for (std::size_t j = 1; j < k; ++j) {
+    new_below[j] = new_below[j - 1] || watermarks[j - 1] < extents[j - 1];
+  }
+  // Restarts positions [0, top) at their lowest index that can still
+  // reach a new combo.
+  auto restart_below = [&](std::size_t top) {
+    for (std::size_t j = top; j-- > 0;) {
+      pick[j] = inside[j + 1] && !new_below[j] ? watermarks[j] : 0;
+      inside[j] = inside[j + 1] && pick[j] < watermarks[j];
+    }
+  };
+  restart_below(k);
+  while (true) {
+    fn(std::span<const std::size_t>(pick));
+    std::size_t i = 0;
+    while (i < k && ++pick[i] == extents[i]) ++i;
+    if (i == k) return;
+    inside[i] = inside[i + 1] && pick[i] < watermarks[i];
+    restart_below(i);
+  }
+}
 
 }  // namespace limcap::exec
 

@@ -9,7 +9,7 @@ namespace limcap::runtime {
 
 namespace {
 
-std::string SourceNameOf(const FetchRequest& request) {
+const std::string& SourceNameOf(const FetchRequest& request) {
   return request.source->view().name();
 }
 
@@ -50,7 +50,7 @@ double AdaptiveDispatcher::HedgeDelayFor(const std::string& source) const {
 }
 
 std::vector<FetchResult> AdaptiveDispatcher::ExecuteFrontier(
-    std::vector<FetchRequest> requests, const SkipProbe& probe) {
+    const std::vector<FetchRequest>& requests, const SkipProbe& probe) {
   const AdaptiveOptions& adaptive = runtime_.adaptive;
   const std::size_t n = requests.size();
   std::vector<FetchResult> results(n);
@@ -101,8 +101,8 @@ std::vector<FetchResult> AdaptiveDispatcher::ExecuteFrontier(
   std::vector<FetchRequest> batch;
   batch.reserve(dispatch.size());
   for (std::size_t k = 0; k < dispatch.size(); ++k) {
-    FetchRequest request = requests[dispatch[k]];
-    const std::string source = SourceNameOf(request);
+    FetchRequest& request = batch.emplace_back(requests[dispatch[k]]);
+    const std::string& source = SourceNameOf(request);
     request.hedge_delay_ms = HedgeDelayFor(source);
     request.batch_discount_ms = 0;
     if (adaptive.batch && k > 0) {
@@ -114,7 +114,6 @@ std::vector<FetchResult> AdaptiveDispatcher::ExecuteFrontier(
             std::max(0.0, 1.0 - adaptive.batch_marginal_fraction);
       }
     }
-    batch.push_back(std::move(request));
   }
 
   std::vector<FetchResult> executed = scheduler_->ExecuteBatch(batch);

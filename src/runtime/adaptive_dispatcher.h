@@ -53,8 +53,8 @@ class AdaptiveDispatcher {
   /// pruning). Results align with `requests`; a skipped request's result
   /// has `skipped_dynamic` set and an error Status for tuples — the
   /// caller must not commit it.
-  std::vector<FetchResult> ExecuteFrontier(std::vector<FetchRequest> requests,
-                                           const SkipProbe& probe);
+  std::vector<FetchResult> ExecuteFrontier(
+      const std::vector<FetchRequest>& requests, const SkipProbe& probe);
 
   /// This execution's learned per-source profiles (canonical order).
   const std::map<std::string, SourceProfile>& profiles() const {

@@ -1,13 +1,14 @@
 #include "runtime/fetch_scheduler.h"
 
 #include <algorithm>
+#include <bit>
 #include <condition_variable>
 #include <cstdio>
+#include <functional>
 #include <limits>
 #include <mutex>
 #include <queue>
 #include <thread>
-#include <tuple>
 #include <utility>
 
 #include "common/hash.h"
@@ -32,10 +33,10 @@ std::string FormatMs(double ms) {
 /// Session ids are assigned identically under serial and concurrent
 /// execution, so the jitter — and with it every simulated duration — is
 /// dispatch-order independent.
-uint64_t JitterSeed(uint64_t run_seed, const std::string& source,
+uint64_t JitterSeed(uint64_t run_seed, std::size_t source_name_hash,
                     const capability::SourceQuery& query) {
   std::size_t seed = static_cast<std::size_t>(run_seed);
-  HashCombine(seed, std::hash<std::string>{}(source));
+  HashCombine(seed, source_name_hash);
   for (std::size_t i = 0; i < query.positions.size(); ++i) {
     HashCombine(seed, query.positions[i]);
     HashCombine(seed, query.ids[i]);
@@ -63,6 +64,79 @@ std::string CrossQueryKey(const std::string& source,
   return key;
 }
 
+/// Coalescing identity of a request: its source and its session-encoded
+/// query, hashed in place.
+std::size_t RequestHash(const FetchRequest& request) {
+  std::size_t seed = std::hash<const void*>{}(request.source);
+  for (uint32_t position : request.query.positions) {
+    HashCombine(seed, position);
+  }
+  for (ValueId id : request.query.ids) HashCombine(seed, id);
+  return static_cast<std::size_t>(Mix64(seed));
+}
+
+bool SameQuery(const FetchRequest& a, const FetchRequest& b) {
+  return a.source == b.source && a.query.positions == b.query.positions &&
+         a.query.ids == b.query.ids;
+}
+
+/// Start order under a per-source in-flight cap: the lowest batch index
+/// whose source is under its cap, which is what an in-order scan of the
+/// pending fetches picks, without the rescan. Fetches wait in per-slot
+/// FIFO queues filled in batch order; a min-heap holds the queue head of
+/// every slot that is under its cap and has a fetch waiting.
+class CappedStarts {
+ public:
+  CappedStarts(std::size_t cap, std::size_t num_slots)
+      : cap_(cap),
+        queues_(num_slots),
+        next_(num_slots, 0),
+        in_flight_(num_slots, 0) {}
+
+  /// Enqueues fetch `index` on `slot`. Indices arrive ascending, all
+  /// before the first Take.
+  void Push(std::size_t index, std::size_t slot) {
+    if (next_[slot] == queues_[slot].size() && in_flight_[slot] < cap_) {
+      heads_.push({index, slot});
+    }
+    queues_[slot].push_back(index);
+  }
+
+  /// True when no waiting fetch's slot is under its cap.
+  bool empty() const { return heads_.empty(); }
+
+  /// Starts the lowest-index startable fetch: (index, slot).
+  std::pair<std::size_t, std::size_t> Take() {
+    const auto [index, slot] = heads_.top();
+    heads_.pop();
+    ++next_[slot];
+    ++in_flight_[slot];
+    PushHeadIfStartable(slot);
+    return {index, slot};
+  }
+
+  /// A fetch on `slot` finished.
+  void Release(std::size_t slot) {
+    const bool was_full = in_flight_[slot] == cap_;
+    --in_flight_[slot];
+    if (was_full) PushHeadIfStartable(slot);
+  }
+
+ private:
+  void PushHeadIfStartable(std::size_t slot) {
+    if (in_flight_[slot] < cap_ && next_[slot] < queues_[slot].size()) {
+      heads_.push({queues_[slot][next_[slot]], slot});
+    }
+  }
+
+  using Head = std::pair<std::size_t, std::size_t>;  // (index, slot)
+  std::size_t cap_;
+  std::vector<std::vector<std::size_t>> queues_;
+  std::vector<std::size_t> next_;
+  std::vector<std::size_t> in_flight_;
+  std::priority_queue<Head, std::vector<Head>, std::greater<Head>> heads_;
+};
+
 }  // namespace
 
 /// One distinct (source, query) to actually dispatch. Coalesced duplicate
@@ -73,13 +147,13 @@ std::string CrossQueryKey(const std::string& source,
 struct FetchScheduler::Leader {
   std::size_t request_index = 0;
   capability::Source* source = nullptr;
-  std::string source_name;
-  /// The query to dispatch: the session-encoded request under serial
-  /// execution, a private-dictionary clone under concurrent execution
-  /// (workers must never intern into the session dictionary).
-  capability::SourceQuery query;
-  const RetryPolicy* policy = nullptr;
-  double base_latency_ms = 0;
+  const SourceState* state = nullptr;
+  /// The query to dispatch: the request's own, session-encoded, under
+  /// serial execution; `private_query` under concurrent execution.
+  const capability::SourceQuery* query = nullptr;
+  /// Concurrent execution's clone of the request's query on a private
+  /// dictionary (workers must never intern into the session dictionary).
+  capability::SourceQuery private_query;
   uint64_t jitter_seed = 0;
   bool allowed = true;   ///< false: failed fast by the circuit breaker
   bool executed = false; ///< false: skipped (breaker, or stop_on_error)
@@ -119,8 +193,28 @@ FetchScheduler::FetchScheduler(RuntimeOptions options,
 
 FetchScheduler::~FetchScheduler() = default;
 
+FetchScheduler::SourceState& FetchScheduler::StateFor(
+    capability::Source* source) {
+  auto [it, inserted] = sources_.try_emplace(source);
+  SourceState& state = it->second;
+  if (inserted) {
+    state.name = source->view().name();
+    state.name_hash = std::hash<std::string>{}(state.name);
+    state.name_slot =
+        name_slots_.try_emplace(state.name, name_slots_.size()).first->second;
+    state.policy = &options_.PolicyFor(state.name);
+    state.base_latency_ms = options_.latency.LatencyOf(state.name);
+    state.breaker =
+        &breakers_.try_emplace(state.name, state.policy->breaker).first->second;
+    state.stats = &report_.per_source[state.name];
+    state.timed = dynamic_cast<TimedSource*>(source);
+  }
+  return state;
+}
+
 void FetchScheduler::ExecuteLeader(Leader* leader) const {
-  const RetryPolicy& policy = *leader->policy;
+  const SourceState& state = *leader->state;
+  const RetryPolicy& policy = *state.policy;
   const std::size_t max_attempts = std::max<std::size_t>(1, policy.max_attempts);
   Rng rng(leader->jitter_seed);
   Result<relational::Relation> outcome = Status::Internal("not executed");
@@ -131,12 +225,11 @@ void FetchScheduler::ExecuteLeader(Leader* leader) const {
     }
     ++leader->attempts;
     TimedSource::Timing timing;
-    auto* timed = dynamic_cast<TimedSource*>(leader->source);
     Result<relational::Relation> answer =
-        timed != nullptr ? timed->ExecuteTimed(leader->query, &timing)
-                         : leader->source->Execute(leader->query);
-    const double full_latency =
-        leader->base_latency_ms + timing.added_latency_ms;
+        state.timed != nullptr
+            ? state.timed->ExecuteTimed(*leader->query, &timing)
+            : leader->source->Execute(*leader->query);
+    const double full_latency = state.base_latency_ms + timing.added_latency_ms;
     // Hedged request (timing-model level): once the primary overshoots
     // the learned hedge delay, a duplicate call to the same deterministic
     // source is modeled — the answer is the same, only its arrival moves
@@ -147,7 +240,7 @@ void FetchScheduler::ExecuteLeader(Leader* leader) const {
     if (full_latency > leader->hedge_delay_ms) {
       leader->hedged = true;
       latency = std::min(full_latency,
-                         leader->hedge_delay_ms + leader->base_latency_ms);
+                         leader->hedge_delay_ms + state.base_latency_ms);
       if (full_latency > policy.deadline_ms && latency <= policy.deadline_ms) {
         leader->hedge_win = true;
       }
@@ -173,7 +266,7 @@ void FetchScheduler::ExecuteLeader(Leader* leader) const {
       leader->duration_ms += policy.deadline_ms;
       ++leader->timeouts;
       outcome = Status::DeadlineExceeded(
-          "source " + leader->source_name + " attempt " +
+          "source " + state.name + " attempt " +
           std::to_string(attempt) + " exceeded its " +
           FormatMs(policy.deadline_ms) + " ms deadline");
       continue;
@@ -211,31 +304,26 @@ void FetchScheduler::RunLeadersConcurrently(std::vector<Leader>* leaders) {
   // merges in batch order regardless.
   std::mutex mutex;
   std::condition_variable capacity_freed;
-  std::vector<bool> claimed(todo.size(), false);
+  CappedStarts starts(per_source_cap, name_slots_.size());
+  for (std::size_t i = 0; i < todo.size(); ++i) {
+    starts.Push(i, todo[i]->state->name_slot);
+  }
   std::size_t num_claimed = 0;
-  std::map<std::string, std::size_t> in_flight;
   pool_->RunOnAll([&](std::size_t) {
     std::unique_lock<std::mutex> lock(mutex);
     for (;;) {
-      std::size_t pick = kNone;
-      for (std::size_t i = 0; i < todo.size(); ++i) {
-        if (!claimed[i] && in_flight[todo[i]->source_name] < per_source_cap) {
-          pick = i;
-          break;
-        }
-      }
-      if (pick == kNone) {
+      if (starts.empty()) {
         if (num_claimed == todo.size()) return;
         // Unclaimed fetches remain but their sources are at capacity;
         // wait for a finisher to free a slot.
         capacity_freed.wait(lock);
         continue;
       }
-      claimed[pick] = true;
+      const auto [pick, slot] = starts.Take();
       ++num_claimed;
-      ++in_flight[todo[pick]->source_name];
       lock.unlock();
       Leader* job = todo[pick];
+      const std::string& source_name = job->state->name;
       FetchGovernor* governor = options_.governor;
       if (governor != nullptr && !job->cross_key.empty()) {
         // Server-wide coalescing window: the first query with this
@@ -244,9 +332,9 @@ void FetchScheduler::RunLeadersConcurrently(std::vector<Leader>* leaders) {
         // while waiting, so leader → follower waits cannot cycle.
         FetchGovernor::Ticket ticket = governor->Begin(job->cross_key);
         if (ticket.leader) {
-          governor->Acquire(job->source_name);
+          governor->Acquire(source_name);
           ExecuteLeader(job);
-          governor->Release(job->source_name);
+          governor->Release(source_name);
           governor->Complete(job->cross_key, ticket, job->tuples);
         } else {
           job->tuples = FetchGovernor::Wait(ticket);
@@ -256,14 +344,14 @@ void FetchScheduler::RunLeadersConcurrently(std::vector<Leader>* leaders) {
           // (immutable now) and are re-keyed at the ordered merge.
         }
       } else if (governor != nullptr) {
-        governor->Acquire(job->source_name);
+        governor->Acquire(source_name);
         ExecuteLeader(job);
-        governor->Release(job->source_name);
+        governor->Release(source_name);
       } else {
         ExecuteLeader(job);
       }
       lock.lock();
-      --in_flight[job->source_name];
+      starts.Release(slot);
       capacity_freed.notify_all();
     }
   });
@@ -308,21 +396,16 @@ double FetchScheduler::SimulateTimeline(std::vector<Leader>* leaders,
   using Finish = std::pair<double, std::size_t>;  // (finish time, job index)
   std::priority_queue<Finish, std::vector<Finish>, std::greater<Finish>>
       running;
-  std::map<std::string, std::size_t> in_flight;
-  std::vector<bool> started(jobs.size(), false);
-  std::size_t num_started = 0;
+  CappedStarts starts(per_source_cap, name_slots_.size());
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    starts.Push(i, jobs[i]->state->name_slot);
+  }
   double now = batch_start;
   double makespan_end = batch_start;
-  while (num_started < jobs.size() || !running.empty()) {
-    // Start every startable job at `now`, scanning in batch order.
-    for (std::size_t i = 0;
-         i < jobs.size() && running.size() < global_cap; ++i) {
-      if (started[i] || in_flight[jobs[i]->source_name] >= per_source_cap) {
-        continue;
-      }
-      started[i] = true;
-      ++num_started;
-      ++in_flight[jobs[i]->source_name];
+  for (;;) {
+    // Start every startable job at `now`, lowest batch index first.
+    while (running.size() < global_cap && !starts.empty()) {
+      const std::size_t i = starts.Take().first;
       jobs[i]->start_ms = now;
       jobs[i]->finish_ms = now + jobs[i]->duration_ms;
       running.push({jobs[i]->finish_ms, i});
@@ -332,21 +415,21 @@ double FetchScheduler::SimulateTimeline(std::vector<Leader>* leaders,
     running.pop();
     now = finish;
     makespan_end = std::max(makespan_end, finish);
-    --in_flight[jobs[index]->source_name];
+    starts.Release(jobs[index]->state->name_slot);
   }
   return makespan_end - batch_start;
 }
 
 void FetchScheduler::RecordLeaderFetch(const Leader& leader) const {
   FetchRecorder::Fetch fetch;
-  fetch.source = leader.source_name;
-  fetch.positions = leader.query.positions;
-  fetch.values.reserve(leader.query.ids.size());
-  // leader.query.dict is the private per-fetch dictionary under
+  fetch.source = leader.state->name;
+  fetch.positions = leader.query->positions;
+  fetch.values.reserve(leader.query->ids.size());
+  // leader.query's dict is the private per-fetch dictionary under
   // concurrent dispatch and the session dictionary under serial — either
   // way, decoding here yields the canonical value-level query.
-  for (ValueId id : leader.query.ids) {
-    fetch.values.push_back(leader.query.dict->Get(id));
+  for (ValueId id : leader.query->ids) {
+    fetch.values.push_back(leader.query->dict->Get(id));
   }
   if (leader.cross_coalesced) {
     // This fetch made no source call: another query's identical in-flight
@@ -389,47 +472,46 @@ std::vector<FetchResult> FetchScheduler::ExecuteBatch(
   obs::Tracer* trace = batch_span.tracer();  // null when disabled
 
   // 1. Coalesce identical (source, query) pairs into leaders. All request
-  //    queries are session-encoded, so raw positions+ids identify a query.
+  //    queries are session-encoded, so raw positions+ids identify a query;
+  //    an open-addressing table over leader ordinals hashes them in place.
   std::vector<Leader> leaders;
   leaders.reserve(requests.size());
   std::vector<std::size_t> leader_of(requests.size(), kNone);
-  std::vector<bool> is_leader(requests.size(), false);
-  using CoalesceKey =
-      std::tuple<capability::Source*, std::vector<uint32_t>,
-                 std::vector<ValueId>>;
-  std::map<CoalesceKey, std::size_t> first_seen;
+  std::vector<std::size_t> first_seen;
+  if (options_.coalesce) {
+    first_seen.assign(std::bit_ceil(2 * requests.size()), kNone);
+  }
   for (std::size_t i = 0; i < requests.size(); ++i) {
+    const FetchRequest& request = requests[i];
     if (options_.coalesce) {
-      CoalesceKey key{requests[i].source, requests[i].query.positions,
-                      requests[i].query.ids};
-      auto [it, inserted] = first_seen.try_emplace(key, leaders.size());
-      if (!inserted) {
-        leader_of[i] = it->second;
+      const std::size_t mask = first_seen.size() - 1;
+      std::size_t slot = RequestHash(request) & mask;
+      while (first_seen[slot] != kNone &&
+             !SameQuery(requests[leaders[first_seen[slot]].request_index],
+                        request)) {
+        slot = (slot + 1) & mask;
+      }
+      if (first_seen[slot] != kNone) {
+        leader_of[i] = first_seen[slot];
         continue;
       }
+      first_seen[slot] = leaders.size();
     }
     leader_of[i] = leaders.size();
-    is_leader[i] = true;
-    Leader leader;
+    Leader& leader = leaders.emplace_back();
     leader.request_index = i;
-    leader.source = requests[i].source;
-    leader.source_name = requests[i].source->view().name();
-    leader.query = requests[i].query;
-    leader.policy = &options_.PolicyFor(leader.source_name);
-    leader.base_latency_ms = options_.latency.LatencyOf(leader.source_name);
-    leader.hedge_delay_ms = requests[i].hedge_delay_ms;
-    leader.batch_discount_ms = requests[i].batch_discount_ms;
+    leader.source = request.source;
+    leader.state = &StateFor(request.source);
+    leader.query = &request.query;
+    leader.hedge_delay_ms = request.hedge_delay_ms;
+    leader.batch_discount_ms = request.batch_discount_ms;
     leader.jitter_seed =
-        JitterSeed(options_.seed, leader.source_name, requests[i].query);
-    leaders.push_back(std::move(leader));
+        JitterSeed(options_.seed, leader.state->name_hash, request.query);
   }
 
   // 2. Circuit-breaker admission at the batch-start clock.
   for (Leader& leader : leaders) {
-    auto it =
-        breakers_.try_emplace(leader.source_name, leader.policy->breaker)
-            .first;
-    leader.allowed = it->second.Allow(batch_start);
+    leader.allowed = leader.state->breaker->Allow(batch_start);
   }
 
   // 3. Dispatch. Concurrent execution clones each leader's query onto a
@@ -446,13 +528,13 @@ std::vector<FetchResult> FetchScheduler::ExecuteBatch(
       leader.executed = true;
       if (cross_coalesce) {
         // Value-level key, computed from the session dictionary before
-        // the ids are rewritten below. Only private-dictionary results
+        // the query is cloned below. Only private-dictionary results
         // may be shared across queries (a session dictionary keeps
         // growing while foreign drivers would read it), which is why
         // cross coalescing exists only on this concurrent path.
         leader.cross_key =
-            CrossQueryKey(leader.source_name, leader.query.positions,
-                          leader.query.ids, *dict_);
+            CrossQueryKey(leader.state->name, leader.query->positions,
+                          leader.query->ids, *dict_);
         // A hedged fetch's *outcome* (kept vs discarded past the
         // deadline) depends on its hedge delay, which is per-query
         // learned state — two queries with different delays can see
@@ -469,10 +551,14 @@ std::vector<FetchResult> FetchScheduler::ExecuteBatch(
         }
       }
       auto private_dict = std::make_shared<ValueDictionary>();
-      for (ValueId& id : leader.query.ids) {
-        id = private_dict->Intern(dict_->Get(id));
+      leader.private_query.positions = leader.query->positions;
+      leader.private_query.ids.reserve(leader.query->ids.size());
+      for (ValueId id : leader.query->ids) {
+        leader.private_query.ids.push_back(
+            private_dict->Intern(dict_->Get(id)));
       }
-      leader.query.dict = std::move(private_dict);
+      leader.private_query.dict = std::move(private_dict);
+      leader.query = &leader.private_query;
     }
     RunLeadersConcurrently(&leaders);
   } else {
@@ -488,9 +574,9 @@ std::vector<FetchResult> FetchScheduler::ExecuteBatch(
         // Serial dispatch under a governor still honors the server-wide
         // caps; it cannot share results (they land on the mutable
         // session dictionary, unsafe for foreign readers).
-        options_.governor->Acquire(leader.source_name);
+        options_.governor->Acquire(leader.state->name);
         ExecuteLeader(&leader);
-        options_.governor->Release(leader.source_name);
+        options_.governor->Release(leader.state->name);
       } else {
         ExecuteLeader(&leader);
       }
@@ -507,35 +593,32 @@ std::vector<FetchResult> FetchScheduler::ExecuteBatch(
   // 5. Merge in batch order on the driver thread: re-key results to the
   //    session dictionary, record breaker outcomes, build the report. A
   //    follower's leader always precedes it (the leader is the first
-  //    occurrence), so leader results are final when followers copy them.
+  //    occurrence), so a leader's result is final when its followers copy
+  //    it; each leader's own relation moves into its result.
   for (std::size_t i = 0; i < requests.size(); ++i) {
     Leader& leader = leaders[leader_of[i]];
+    const std::string& name = leader.state->name;
     FetchResult& result = results[i];
-    FetchReport::SourceStats& stats = report_.per_source[leader.source_name];
+    FetchReport::SourceStats& stats = *leader.state->stats;
     result.start_ms = leader.start_ms;
     result.finish_ms = leader.finish_ms;
-    if (!is_leader[i]) {
+    if (leader.request_index != i) {
       result.coalesced = true;
-      result.tuples = leader.tuples;
+      result.tuples = results[leader.request_index].tuples;
       ++stats.coalesced_hits;
       ++report_.coalesced_hits;
-      if (trace != nullptr) {
-        trace->Instant("fetch.coalesced", leader.source_name);
-      }
+      if (trace != nullptr) trace->Instant("fetch.coalesced", name);
       continue;
     }
     if (!leader.allowed) {
       result.breaker_skipped = true;
-      leader.tuples = Status::Unavailable(
-          "source " + leader.source_name +
-          " unavailable: circuit breaker open");
-      result.tuples = leader.tuples;
+      result.tuples = Status::Unavailable(
+          "source " + name + " unavailable: circuit breaker open");
       ++stats.breaker_skips;
       ++stats.failed_queries;
-      report_.failed_views.insert(leader.source_name);
+      report_.failed_views.insert(name);
       if (trace != nullptr) {
-        const obs::SpanId span =
-            trace->Instant("fetch", leader.source_name);
+        const obs::SpanId span = trace->Instant("fetch", name);
         trace->Counter(span, "breaker_skip", 1);
         trace->SetSimulated(span, leader.start_ms, 0);
       }
@@ -546,31 +629,29 @@ std::vector<FetchResult> FetchScheduler::ExecuteBatch(
       leader.tuples = leader.tuples->WithDictionary(dict_);
     }
     if (options_.recorder != nullptr) RecordLeaderFetch(leader);
+    result.tuples = std::move(leader.tuples);
+    const bool ok = result.tuples.ok();
+    CircuitBreaker& breaker = *leader.state->breaker;
     if (leader.cross_coalesced) {
       // Another query's source call answered this fetch: account the
       // saved work, not attempts (this execution made none).
-      result.tuples = leader.tuples;
       result.cross_coalesced = true;
       ++stats.cross_query_coalesced;
       ++report_.cross_query_coalesced;
       // The breaker still learns the outcome — a solo run would have
       // made this call and recorded it, so skipping would make breaker
       // admission diverge from solo execution.
-      CircuitBreaker& shared_breaker = breakers_.at(leader.source_name);
-      if (leader.tuples.ok()) {
+      if (ok) {
         ++stats.successes;
-        shared_breaker.RecordSuccess();
+        breaker.RecordSuccess();
       } else {
         ++stats.failed_queries;
-        report_.failed_views.insert(leader.source_name);
-        shared_breaker.RecordFailure(leader.finish_ms);
+        report_.failed_views.insert(name);
+        breaker.RecordFailure(leader.finish_ms);
       }
-      if (trace != nullptr) {
-        trace->Instant("fetch.cross_coalesced", leader.source_name);
-      }
+      if (trace != nullptr) trace->Instant("fetch.cross_coalesced", name);
       continue;
     }
-    result.tuples = leader.tuples;
     result.attempts = leader.attempts;
     result.retries = leader.retries;
     result.timeouts = leader.timeouts;
@@ -598,30 +679,28 @@ std::vector<FetchResult> FetchScheduler::ExecuteBatch(
     report_.total_retries += leader.retries;
     report_.total_timeouts += leader.timeouts;
     report_.simulated_sequential_ms += leader.duration_ms;
-    CircuitBreaker& breaker = breakers_.at(leader.source_name);
-    if (leader.tuples.ok()) {
+    if (ok) {
       ++stats.successes;
       breaker.RecordSuccess();
     } else {
       ++stats.failed_queries;
-      report_.failed_views.insert(leader.source_name);
+      report_.failed_views.insert(name);
       breaker.RecordFailure(leader.finish_ms);
     }
     if (trace != nullptr) {
-      const obs::SpanId span = trace->Instant("fetch", leader.source_name);
+      const obs::SpanId span = trace->Instant("fetch", name);
       trace->Counter(span, "attempts",
                      static_cast<double>(leader.attempts));
       trace->Counter(span, "retries", static_cast<double>(leader.retries));
       trace->Counter(span, "timeouts",
                      static_cast<double>(leader.timeouts));
-      trace->Counter(span, "ok", leader.tuples.ok() ? 1 : 0);
+      trace->Counter(span, "ok", ok ? 1 : 0);
       trace->SetSimulated(span, leader.start_ms,
                           leader.finish_ms - leader.start_ms);
     }
   }
-  for (auto& [name, stats] : report_.per_source) {
-    auto it = breakers_.find(name);
-    if (it != breakers_.end()) stats.breaker_state = it->second.state();
+  for (auto& [source, state] : sources_) {
+    state.stats->breaker_state = state.breaker->state();
   }
   return results;
 }

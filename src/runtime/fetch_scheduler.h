@@ -2,8 +2,10 @@
 #define LIMCAP_RUNTIME_FETCH_SCHEDULER_H_
 
 #include <limits>
+#include <map>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "capability/source.h"
@@ -15,6 +17,8 @@
 #include "runtime/options.h"
 
 namespace limcap::runtime {
+
+class TimedSource;
 
 /// One source query the evaluator wants answered. `query` is encoded
 /// against the session dictionary.
@@ -93,7 +97,15 @@ struct FetchResult {
 /// Simulated time: sources are in-memory stand-ins, so latency is modeled
 /// (LatencyModel base + TimedSource perturbations), never slept. The
 /// timeline is reconstructed event-driven under the in-flight caps, so
-/// makespans are reproducible regardless of real thread scheduling.
+/// makespans are reproducible regardless of real thread scheduling. Both
+/// the worker claim loop and the timeline start the lowest-index pending
+/// fetch whose source is under its cap: the head of per-source FIFO
+/// queues, taken from a min-heap of the eligible heads.
+///
+/// Per-source state (name, policy, base latency, breaker, report row,
+/// TimedSource cast) is resolved once, on a source's first fetch, and
+/// keyed by the Source's address: every source a batch names must
+/// outlive the scheduler.
 class FetchScheduler {
  public:
   /// `tracer` (optional, must outlive the scheduler): each non-empty
@@ -127,7 +139,27 @@ class FetchScheduler {
 
  private:
   struct Leader;
+  /// What the scheduler needs of one source, resolved on first sight and
+  /// reused for every later fetch to it (see StateFor).
+  struct SourceState {
+    std::string name;
+    /// std::hash of `name`: the source term of every fetch's jitter seed.
+    std::size_t name_hash = 0;
+    /// Dense index of `name` among the names seen so far. In-flight caps
+    /// are per source name, so two Source objects under one name share
+    /// a slot (as they share a breaker and a report row).
+    std::size_t name_slot = 0;
+    const RetryPolicy* policy = nullptr;
+    double base_latency_ms = 0;
+    CircuitBreaker* breaker = nullptr;
+    FetchReport::SourceStats* stats = nullptr;
+    /// The source as a TimedSource, or null for a plain source.
+    TimedSource* timed = nullptr;
+  };
 
+  /// The state of `source`, built on its first fetch (calling thread
+  /// only; workers read it while the batch runs).
+  SourceState& StateFor(capability::Source* source);
   /// Worker-side: runs one fetch's retry loop against the source.
   void ExecuteLeader(Leader* leader) const;
   void RunLeadersConcurrently(std::vector<Leader>* leaders);
@@ -145,6 +177,10 @@ class FetchScheduler {
   std::map<std::string, CircuitBreaker> breakers_;
   FetchReport report_;
   double sim_clock_ms_ = 0;
+  /// Per-source state by address (node-based: leaders point into it).
+  std::unordered_map<const capability::Source*, SourceState> sources_;
+  /// The name slots handed out so far.
+  std::map<std::string, std::size_t> name_slots_;
 };
 
 }  // namespace limcap::runtime
