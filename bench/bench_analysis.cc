@@ -1,18 +1,18 @@
 // The static verifier's cost, and why it is cheap enough to always run.
 //
-// AnalyzeExecutability is two fixpoints over the program: each round
-// re-attempts a greedy SIP placement per rule (O(atoms²) orderings per
-// attempt) and each round must make a rule or view newly live, so the
-// whole analysis is ~O(rules · atoms²) with a small fixpoint factor. We
-// time it on chain catalogs of 50..400 views — where Π(Q, V) has one
-// alpha rule, one fetch-domain rule chain, and one input rule per view —
-// and, for perspective, time the full AnalyzeProgram (all passes) and
-// the source-driven evaluation of the same program. The chain is the
-// analyzer's worst case for fixpoint depth (each round proves exactly
-// one more view fetchable, so rounds ~ n and the analysis goes
-// quadratic in n even though atoms per rule is bounded); it must still
-// land well under the evaluation time of the same program, which is
-// what justifies always-on gating.
+// can_fire, binding flow and cold-start reachability all read one static
+// relevance fixpoint: a counter worklist over dense ids that touches each
+// rule and fetch channel once per distinct body predicate or bound
+// domain, so it is linear in the program even where the fixpoint is
+// deepest. AnalyzeExecutability adds its greedy SIP search (O(atoms²)
+// placements per rule attempt, a fixpoint of its own). We time both on
+// chain catalogs of 50..400 views — where Π(Q, V) has one alpha rule,
+// one fetch-domain rule chain, and one input rule per view, and every
+// wave opens exactly one more channel (waves ~ n) — and, for
+// perspective, the full AnalyzeProgram (all passes) and the
+// source-driven evaluation of the same program. The analysis must land
+// well under the evaluation time, which is what justifies always-on
+// gating.
 
 #include <benchmark/benchmark.h>
 
@@ -42,7 +42,7 @@ struct ChainProgram {
 
 /// A chain of n "bf" views v1(A0,A1)..vn(A{n-1},An) with the input at A0
 /// and the output at the chain's end: every view is relevant, every
-/// domain rule feeds the next view, and the executability fixpoint must
+/// domain rule feeds the next view, and the relevance fixpoint must
 /// walk the whole chain to prove the last rule live.
 ChainProgram MakeChainProgram(std::size_t n, std::size_t tuples_per_view) {
   CatalogSpec spec;
@@ -64,7 +64,7 @@ ChainProgram MakeChainProgram(std::size_t n, std::size_t tuples_per_view) {
   return setup;
 }
 
-/// The executability core alone: two fixpoints + SIP searches.
+/// The executability core alone: the relevance fixpoint + SIP searches.
 void BM_AnalyzeExecutability(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   ChainProgram setup = MakeChainProgram(n, /*tuples_per_view=*/1);
@@ -105,8 +105,8 @@ BENCHMARK(BM_AnalyzeProgram)
     ->Arg(400)
     ->Unit(benchmark::kMillisecond);
 
-/// The binding-flow pass alone (this PR's tentpole): the staged
-/// forward/backward fixpoint over the adorned program plus certificate
+/// The binding-flow pass alone: the relevance fixpoint's forward and
+/// backward passes over the adorned program plus certificate
 /// construction. Budget: ≤100ms on the 400-view chain (asserted by the
 /// reporter invariants in bench_report).
 void BM_AnalyzeBindingFlow(benchmark::State& state) {

@@ -248,37 +248,6 @@ void BenchGeneratedChain() {
   }
   EmitRow("chain400_mediator", kIters, lazy, *last);
 
-  // Same query with eager log rendering: the difference is exactly what
-  // the lazy access log avoids paying on the hot path.
-  limcap::exec::ExecOptions eager_options;
-  eager_options.eager_render_log = true;
-  limcap::Result<limcap::exec::AnswerReport> eager_last =
-      limcap::Status::Internal("never ran");
-  Timing eager = Measure(
-      kIters, [&] { eager_last = mediator.Answer(query, eager_options); });
-  if (!eager_last.ok()) {
-    std::fprintf(stderr, "FAIL: %s\n",
-                 eager_last.status().ToString().c_str());
-    ++failures;
-    return;
-  }
-  const auto& dict = eager_last->exec.session_dict;
-  std::printf(
-      "{\"bench\": \"chain400_mediator_eager_log\", \"iters\": %zu, "
-      "\"min_us\": %.1f, \"p50_us\": %.1f, \"mean_us\": %.1f, "
-      "\"decodes\": %llu, \"lazy_decodes_saved\": %llu}\n",
-      kIters, eager.min_us, eager.p50_us, eager.mean_us,
-      dict ? (unsigned long long)dict->decode_count() : 0ull,
-      dict && last->exec.session_dict &&
-              dict->decode_count() > last->exec.session_dict->decode_count()
-          ? (unsigned long long)(dict->decode_count() -
-                                 last->exec.session_dict->decode_count())
-          : 0ull);
-  reporter.AddRow("chain400_mediator_eager_log")
-      .Set("min_us", eager.min_us)
-      .Set("p50_us", eager.p50_us)
-      .Set("mean_us", eager.mean_us);
-
   // Acceptance check: an attached-but-disabled Tracer must cost at most
   // 5% over no tracer at all on the 400-view chain (ISSUE: the disabled
   // hot path is two branches, no allocation). Interleaved min-of-N

@@ -1,26 +1,19 @@
 #include "analysis/analyzer.h"
 
+#include <algorithm>
 #include <map>
 #include <set>
-#include <unordered_map>
 
+#include "analysis/relevance_fixpoint.h"
 #include "common/string_util.h"
 #include "datalog/dependency_graph.h"
 #include "datalog/safety.h"
+#include "planner/program_builder.h"
 
 namespace limcap::analysis {
 
-namespace {
-
-using capability::SourceView;
-using datalog::Atom;
-using datalog::DependencyGraph;
-using datalog::Program;
-using datalog::ProgramSourceMap;
-using datalog::Rule;
-using datalog::Term;
-
-Location MakeLocation(const Program& program, const ProgramSourceMap* map,
+Location RuleLocation(const datalog::Program& program,
+                      const datalog::ProgramSourceMap* map,
                       std::size_t rule_index, int atom_index) {
   Location location;
   location.rule = static_cast<int>(rule_index);
@@ -39,26 +32,37 @@ Location MakeLocation(const Program& program, const ProgramSourceMap* map,
   return location;
 }
 
+namespace {
+
+using capability::SourceView;
+using datalog::Atom;
+using datalog::DependencyGraph;
+using datalog::Program;
+using datalog::ProgramSourceMap;
+using datalog::Rule;
+using datalog::Term;
+
 /// LC004 — body predicates that nothing can ever populate structurally:
 /// no rule derives them and no catalog view backs them.
 void CheckUndeclaredPredicates(const Program& program,
-                               const std::vector<SourceView>& views,
+                               const RelevanceFixpoint& fixpoint,
                                const ProgramSourceMap* map,
                                DiagnosticBag* bag) {
-  std::set<std::string> declared = program.IdbPredicates();
-  for (const SourceView& view : views) declared.insert(view.name());
+  const std::set<std::string> idb = program.IdbPredicates();
   std::set<std::string> reported;
   for (std::size_t r = 0; r < program.rules().size(); ++r) {
     const Rule& rule = program.rules()[r];
     for (std::size_t i = 0; i < rule.body.size(); ++i) {
       const std::string& predicate = rule.body[i].predicate;
-      if (declared.count(predicate) > 0) continue;
+      if (idb.count(predicate) > 0 || fixpoint.FindView(predicate) != nullptr) {
+        continue;
+      }
       if (!reported.insert(predicate).second) continue;
       bag->Report(Code::kUndeclaredPredicate,
                   "predicate '" + predicate +
                       "' has no rules, no facts, and no source view: its "
                       "relation is always empty",
-                  MakeLocation(program, map, r, static_cast<int>(i)));
+                  RuleLocation(program, map, r, static_cast<int>(i)));
     }
   }
 }
@@ -87,7 +91,7 @@ void CheckSingletonVariables(const Program& program,
                      : "variables {" + Join(singles, ", ") + "} occur") +
                     " only once in this rule (projected away on arrival; in "
                     "hand-written rules, a possible typo)",
-                MakeLocation(program, map, r, Location::kNone));
+                RuleLocation(program, map, r, Location::kNone));
   }
 }
 
@@ -101,24 +105,12 @@ void CheckSingletonVariables(const Program& program,
 /// the dependency graph cannot see (builder programs route it through
 /// the alpha rules; hand-written ones often do not).
 void CheckReachability(const Program& program,
-                       const std::vector<SourceView>& views,
+                       const RelevanceFixpoint& fixpoint,
                        const AnalysisOptions& options,
-                       const ProgramSourceMap* map, bool note_recursion,
-                       DiagnosticBag* bag) {
+                       const ProgramSourceMap* map, DiagnosticBag* bag) {
   DependencyGraph graph(program);
 
-  std::set<std::string> mentioned = program.AllPredicates();
-  std::set<std::string> fetch_domains;
-  for (const SourceView& view : views) {
-    if (mentioned.count(view.name()) == 0) continue;
-    for (std::size_t t = 0; t < view.templates().size(); ++t) {
-      for (const std::string& attribute : view.BoundAttributes(t)) {
-        fetch_domains.insert(options.domains.DomainOf(attribute));
-      }
-    }
-  }
-
-  if (note_recursion && graph.IsRecursive()) {
+  if (graph.IsRecursive()) {
     std::size_t cyclic = 0;
     for (const std::string& predicate : program.AllPredicates()) {
       if (graph.IsRecursivePredicate(predicate)) ++cyclic;
@@ -131,10 +123,8 @@ void CheckReachability(const Program& program,
 
   // The goal, plus the builder's tagged per-connection goals `<goal>$cK`.
   std::vector<std::string> goals;
-  const std::string tagged_prefix = options.goal_predicate + "$";
   for (const std::string& predicate : program.AllPredicates()) {
-    if (predicate == options.goal_predicate ||
-        StartsWith(predicate, tagged_prefix)) {
+    if (planner::IsGoalPredicate(predicate, options.goal_predicate)) {
       goals.push_back(predicate);
     }
   }
@@ -153,35 +143,31 @@ void CheckReachability(const Program& program,
   for (std::size_t r = 0; r < program.rules().size(); ++r) {
     const std::string& head = program.rules()[r].head.predicate;
     if (reachable.count(head) > 0) continue;
-    if (fetch_domains.count(head) > 0) continue;
+    if (fixpoint.bound_domain(fixpoint.head(r))) continue;
     bag->Report(Code::kGoalUnreachableRule,
                 "rule for '" + head + "' is unreachable from goal '" +
                     options.goal_predicate +
                     "': it cannot contribute to any answer (Section 6's "
                     "RemoveUselessRules drops it)",
-                MakeLocation(program, map, r, Location::kNone));
+                RuleLocation(program, map, r, Location::kNone));
   }
 }
 
 /// LC010 — atoms over catalog views must match the view's schema arity.
 void CheckViewArities(const Program& program,
-                      const std::vector<SourceView>& views,
+                      const RelevanceFixpoint& fixpoint,
                       const ProgramSourceMap* map, DiagnosticBag* bag) {
-  std::unordered_map<std::string, std::size_t> arities;
-  for (const SourceView& view : views) {
-    arities.emplace(view.name(), view.schema().arity());
-  }
   for (std::size_t r = 0; r < program.rules().size(); ++r) {
     const Rule& rule = program.rules()[r];
     auto check = [&](const Atom& atom, int atom_index) {
-      auto it = arities.find(atom.predicate);
-      if (it == arities.end() || it->second == atom.arity()) return;
+      const SourceView* view = fixpoint.FindView(atom.predicate);
+      if (view == nullptr || view->schema().arity() == atom.arity()) return;
       bag->Report(Code::kViewArityMismatch,
                   "atom '" + atom.ToString() + "' has arity " +
                       std::to_string(atom.arity()) + " but source view '" +
                       atom.predicate + "' has arity " +
-                      std::to_string(it->second),
-                  MakeLocation(program, map, r, atom_index));
+                      std::to_string(view->schema().arity()),
+                  RuleLocation(program, map, r, atom_index));
     };
     check(rule.head, Location::kNone);
     for (std::size_t i = 0; i < rule.body.size(); ++i) {
@@ -196,6 +182,12 @@ void CheckViewArities(const Program& program,
 void AnnotateDomainFacts(const Program& program, const AnalysisOptions& options,
                          const std::vector<SourceView>& views,
                          DiagnosticBag* bag) {
+  if (std::none_of(bag->diagnostics().begin(), bag->diagnostics().end(),
+                   [](const Diagnostic& d) {
+                     return d.code == Code::kNonGroundFact;
+                   })) {
+    return;
+  }
   std::set<std::string> domain_predicates;
   for (const SourceView& view : views) {
     for (const std::string& attribute : view.schema().attributes()) {
@@ -225,32 +217,22 @@ AnalysisResult AnalyzeProgram(const Program& program,
                               const ProgramSourceMap* source_map) {
   AnalysisResult result;
   DiagnosticBag& bag = result.diagnostics;
+  const RelevanceFixpoint fixpoint(program, views, options.domains);
 
   datalog::AppendSafetyDiagnostics(program, source_map, &bag);
   AnnotateDomainFacts(program, options, views, &bag);
-  CheckUndeclaredPredicates(program, views, source_map, &bag);
-  if (options.note_singleton_variables) {
-    CheckSingletonVariables(program, source_map, &bag);
-  }
-  if (options.check_goal_reachability) {
-    CheckReachability(program, views, options, source_map,
-                      options.note_recursion, &bag);
-  }
-  CheckViewArities(program, views, source_map, &bag);
+  CheckUndeclaredPredicates(program, fixpoint, source_map, &bag);
+  CheckSingletonVariables(program, source_map, &bag);
+  CheckReachability(program, fixpoint, options, source_map, &bag);
+  CheckViewArities(program, fixpoint, source_map, &bag);
 
-  if (options.check_executability) {
-    result.executability = AnalyzeExecutability(program, views, options.domains,
-                                                options.executability);
-    result.executability_ran = true;
-    AppendExecutabilityDiagnostics(program, views, result.executability,
-                                   source_map, &bag);
-  }
+  result.executability =
+      AnalyzeExecutability(fixpoint, program, options.executability);
+  AppendExecutabilityDiagnostics(program, fixpoint, result.executability,
+                                 source_map, &bag);
 
   if (options.check_binding_flow) {
-    BindingFlowOptions flow_options;
-    flow_options.goal_predicate = options.goal_predicate;
-    result.binding_flow =
-        AnalyzeBindingFlow(program, views, options.domains, flow_options);
+    result.binding_flow = AnalyzeBindingFlow(fixpoint, options.goal_predicate);
     result.binding_flow_ran = true;
     AppendBindingFlowDiagnostics(program, result.binding_flow, source_map,
                                  &bag);

@@ -24,11 +24,6 @@ struct AnalysisOptions {
   /// with; the executability analysis mirrors the evaluator's use of it.
   planner::DomainMap domains;
   ExecutabilityOptions executability;
-  /// Pass toggles.
-  bool check_executability = true;
-  bool check_goal_reachability = true;
-  bool note_singleton_variables = true;
-  bool note_recursion = true;
   /// The binding-flow pass (LC030-LC032) is opt-in: `limcap_lint --deep`
   /// and the execution gate enable it; plain lint output stays stable.
   bool check_binding_flow = false;
@@ -38,9 +33,8 @@ struct AnalysisOptions {
 struct AnalysisResult {
   /// All diagnostics, sorted by (rule, atom, code).
   DiagnosticBag diagnostics;
-  /// Per-rule executability verdicts (empty when the pass was disabled).
+  /// Per-rule executability verdicts.
   ExecutabilityResult executability;
-  bool executability_ran = false;
   /// Binding-flow channel verdicts (empty when the pass was disabled).
   BindingFlowResult binding_flow;
   bool binding_flow_ran = false;

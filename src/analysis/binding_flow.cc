@@ -1,10 +1,12 @@
 #include "analysis/binding_flow.h"
 
 #include <algorithm>
-#include <deque>
 #include <limits>
 #include <sstream>
-#include <unordered_map>
+
+#include "analysis/relevance_fixpoint.h"
+#include "common/string_util.h"
+#include "planner/program_builder.h"
 
 namespace limcap::analysis {
 
@@ -15,251 +17,30 @@ using capability::SourceView;
 using datalog::Atom;
 using datalog::Program;
 using datalog::Rule;
-using datalog::Term;
 
-using ChannelKey = std::pair<std::string, std::size_t>;
+using Id = RelevanceFixpoint::Id;
 
-/// The forward (reachability) fixpoint, staged to mirror the
-/// evaluator's fetch/eval alternation.
-struct ForwardState {
-  /// Distinct ground tuples derivable per predicate while the predicate
-  /// is still constant-only (facts plus ground rule heads).
-  std::map<std::string, std::set<std::string>> constants;
-  /// Predicates some firing rule derives with a variable head term.
-  std::set<std::string> var_derived;
-  /// Mentioned views with at least one active channel.
-  std::set<std::string> populated_views;
-  /// Active channels, mapped to the wave of first activation.
-  std::map<ChannelKey, std::size_t> active;
-  /// Per-rule: the rule abstractly fires at the fixpoint.
-  std::vector<bool> fired;
-  /// Mentioned catalog views, in catalog order.
-  std::vector<const SourceView*> mentioned;
-};
-
-bool Populated(const ForwardState& state, const std::string& predicate) {
-  return state.var_derived.count(predicate) > 0 ||
-         state.constants.count(predicate) > 0 ||
-         state.populated_views.count(predicate) > 0;
-}
-
-AbstractBinding ValueOf(const ForwardState& state,
-                        const std::string& predicate) {
-  if (state.var_derived.count(predicate) > 0 ||
-      state.populated_views.count(predicate) > 0) {
-    return AbstractBinding::kVariable;
-  }
-  if (state.constants.count(predicate) > 0) return AbstractBinding::kConstant;
-  return AbstractBinding::kBottom;
-}
-
-std::string GroundTuple(const Atom& atom) {
-  std::string out;
-  for (const Term& term : atom.terms) {
-    if (!out.empty()) out += ",";
-    out += term.ToString();
-  }
-  return out;
-}
-
-/// Applies a firing rule's head effect; idempotent.
-void JoinHead(const Atom& head, ForwardState* state) {
-  bool ground = true;
-  for (const Term& term : head.terms) {
-    if (term.is_variable()) {
-      ground = false;
-      break;
-    }
-  }
-  if (ground) {
-    state->constants[head.predicate].insert(GroundTuple(head));
-  } else {
-    state->var_derived.insert(head.predicate);
-  }
-}
-
-/// One rule-closure stage: fires every fireable rule to a fixpoint
-/// without activating new channels.
-void CloseRules(const Program& program, ForwardState* state) {
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (std::size_t r = 0; r < program.rules().size(); ++r) {
-      if (state->fired[r]) continue;
-      const Rule& rule = program.rules()[r];
-      bool fireable = true;
-      for (const Atom& atom : rule.body) {
-        if (!Populated(*state, atom.predicate)) {
-          fireable = false;
-          break;
-        }
-      }
-      if (!fireable) continue;
-      state->fired[r] = true;
-      JoinHead(rule.head, state);
-      changed = true;
-    }
-  }
-}
-
-bool ChannelFormable(const ForwardState& state, const SourceView& view,
-                     const BindingPattern& pattern,
-                     const planner::DomainMap& domains) {
-  for (std::size_t pos : pattern.BoundPositions()) {
-    const std::string domain = domains.DomainOf(view.schema().attribute(pos));
-    if (!Populated(state, domain)) return false;
-  }
-  return true;
-}
-
-ForwardState ComputeForward(const Program& program,
-                            const std::vector<SourceView>& views,
-                            const planner::DomainMap& domains) {
-  ForwardState state;
-  state.fired.assign(program.rules().size(), false);
-
-  const std::set<std::string> predicates = program.AllPredicates();
-  for (const SourceView& view : views) {
-    if (predicates.count(view.name()) > 0) state.mentioned.push_back(&view);
-  }
-
-  // Wave k: close rules over what is populated, then activate every
-  // channel whose bound domains are populated — the queries the
-  // evaluator could form in fetch round k.
-  std::size_t wave = 0;
-  while (true) {
-    CloseRules(program, &state);
-    std::vector<ChannelKey> newly;
-    for (const SourceView* view : state.mentioned) {
-      for (std::size_t t = 0; t < view->templates().size(); ++t) {
-        const ChannelKey key{view->name(), t};
-        if (state.active.count(key) > 0) continue;
-        if (ChannelFormable(state, *view, view->templates()[t], domains)) {
-          newly.push_back(key);
-        }
-      }
-    }
-    if (newly.empty()) break;
-    for (const ChannelKey& key : newly) {
-      state.active.emplace(key, wave);
-      state.populated_views.insert(key.first);
-    }
-    ++wave;
-  }
-  return state;
-}
-
-/// Parent pointer recorded during the backward closure: how a needed
-/// predicate feeds its consumer on the way to the goal.
-struct ParentLink {
-  WitnessStep::Link link = WitnessStep::Link::kGoal;
-  std::size_t rule_index = 0;
-  std::string via_view;
-  std::size_t via_template = 0;
-  std::string consumer;
-};
-
-bool IsGoal(const std::string& predicate, const std::string& goal) {
-  return predicate == goal ||
-         (predicate.size() > goal.size() + 1 &&
-          predicate.compare(0, goal.size(), goal) == 0 &&
-          predicate[goal.size()] == '$');
-}
-
-struct BackwardState {
-  std::set<std::string> needed;
-  std::map<std::string, ParentLink> parent;
-};
-
-BackwardState ComputeBackward(const Program& program,
-                              const ForwardState& forward,
-                              const planner::DomainMap& domains,
-                              const std::string& goal) {
-  BackwardState state;
-  std::deque<std::string> work;
-  for (const std::string& predicate : program.AllPredicates()) {
-    if (IsGoal(predicate, goal)) {
-      state.needed.insert(predicate);
-      work.push_back(predicate);
-    }
-  }
-  std::unordered_map<std::string, const SourceView*> view_by_name;
-  for (const SourceView* view : forward.mentioned) {
-    view_by_name.emplace(view->name(), view);
-  }
-  auto need = [&](const std::string& predicate, ParentLink link) {
-    if (state.needed.count(predicate) > 0) return;
-    state.needed.insert(predicate);
-    state.parent.emplace(predicate, std::move(link));
-    work.push_back(predicate);
-  };
-  while (!work.empty()) {
-    const std::string q = work.front();
-    work.pop_front();
-    for (std::size_t r = 0; r < program.rules().size(); ++r) {
-      if (!forward.fired[r]) continue;
-      const Rule& rule = program.rules()[r];
-      if (rule.head.predicate != q) continue;
-      for (const Atom& atom : rule.body) {
-        ParentLink link;
-        link.link = WitnessStep::Link::kRule;
-        link.rule_index = r;
-        link.consumer = q;
-        need(atom.predicate, std::move(link));
-      }
-    }
-    auto it = view_by_name.find(q);
-    if (it != view_by_name.end()) {
-      const SourceView& view = *it->second;
-      for (std::size_t t = 0; t < view.templates().size(); ++t) {
-        if (forward.active.count({view.name(), t}) == 0) continue;
-        for (std::size_t pos : view.templates()[t].BoundPositions()) {
-          ParentLink link;
-          link.link = WitnessStep::Link::kChannel;
-          link.via_view = view.name();
-          link.via_template = t;
-          link.consumer = q;
-          need(domains.DomainOf(view.schema().attribute(pos)),
-               std::move(link));
-        }
-      }
-    }
-  }
-  return state;
-}
-
-std::vector<std::string> SortedPopulated(const ForwardState& state) {
-  std::set<std::string> populated;
-  for (const auto& [predicate, tuples] : state.constants) {
-    populated.insert(predicate);
-  }
-  populated.insert(state.var_derived.begin(), state.var_derived.end());
-  populated.insert(state.populated_views.begin(),
-                   state.populated_views.end());
-  return {populated.begin(), populated.end()};
-}
-
-std::vector<WitnessStep> BuildWitness(const BackwardState& backward,
-                                      const std::string& start) {
+/// The witness chain from `start` (a needed view) to the goal, following
+/// the links the backward closure first needed each predicate through.
+std::vector<WitnessStep> BuildWitness(const RelevanceFixpoint& fixpoint,
+                                      const RelevanceFixpoint::Needed& needed,
+                                      Id start) {
   std::vector<WitnessStep> steps;
-  std::string cur = start;
-  while (true) {
-    auto it = backward.parent.find(cur);
-    if (it == backward.parent.end()) {
-      WitnessStep step;
-      step.predicate = cur;
-      step.link = WitnessStep::Link::kGoal;
-      steps.push_back(std::move(step));
-      return steps;
-    }
+  for (Id cur = start;; cur = needed.parent[cur].consumer) {
+    const RelevanceFixpoint::Link& link = needed.parent[cur];
     WitnessStep step;
-    step.predicate = cur;
-    step.link = it->second.link;
-    step.rule_index = it->second.rule_index;
-    step.via_view = it->second.via_view;
-    step.via_template = it->second.via_template;
+    step.predicate = fixpoint.name(cur);
+    step.link = link.kind;
+    if (link.kind == WitnessStep::Link::kRule) {
+      step.rule_index = link.index;
+    } else if (link.kind == WitnessStep::Link::kChannel) {
+      const RelevanceFixpoint::Channel& channel =
+          fixpoint.channels()[link.index];
+      step.via_view = channel.view->name();
+      step.via_template = channel.template_index;
+    }
     steps.push_back(std::move(step));
-    cur = it->second.consumer;
+    if (link.kind == WitnessStep::Link::kGoal) return steps;
   }
 }
 
@@ -277,17 +58,32 @@ std::uint64_t SaturatingAdd(std::uint64_t a, std::uint64_t b) {
   return a + b;
 }
 
+/// `"a","b",...` for the strings of `items`.
+template <typename Strings>
+std::string JsonStrings(const Strings& items) {
+  return JoinMapped(items, ",", [](const std::string& item) {
+    return "\"" + JsonEscape(item) + "\"";
+  });
+}
+
 std::string ChannelLabel(const ChannelVerdict& verdict) {
   return "channel " + verdict.view + "[" +
          std::to_string(verdict.template_index) + "] '" + verdict.adornment +
          "'";
 }
 
-std::string JsonEscape(const std::string& in) {
+std::string WitnessChainText(const std::vector<WitnessStep>& steps) {
   std::string out;
-  for (char c : in) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
+  for (std::size_t i = 0; i < steps.size(); ++i) {
+    const WitnessStep& step = steps[i];
+    out += step.predicate;
+    if (i + 1 == steps.size()) break;
+    if (step.link == WitnessStep::Link::kRule) {
+      out += " -(rule " + std::to_string(step.rule_index) + ")-> ";
+    } else {
+      out += " -(channel " + step.via_view + "[" +
+             std::to_string(step.via_template) + "])-> ";
+    }
   }
   return out;
 }
@@ -321,91 +117,98 @@ BindingFlowResult AnalyzeBindingFlow(const Program& program,
                                      const std::vector<SourceView>& views,
                                      const planner::DomainMap& domains,
                                      const BindingFlowOptions& options) {
+  return AnalyzeBindingFlow(RelevanceFixpoint(program, views, domains),
+                            options.goal_predicate);
+}
+
+BindingFlowResult AnalyzeBindingFlow(const RelevanceFixpoint& fixpoint,
+                                     const std::string& goal) {
   BindingFlowResult result;
-  const ForwardState forward = ComputeForward(program, views, domains);
-  const BackwardState backward =
-      ComputeBackward(program, forward, domains, options.goal_predicate);
+  const RelevanceFixpoint::Needed needed = fixpoint.Backward(goal);
 
-  result.needed_predicates = backward.needed;
-  for (const std::string& predicate : SortedPopulated(forward)) {
-    result.predicate_values[predicate] = ValueOf(forward, predicate);
+  std::vector<std::string> populated;
+  for (Id id = 0; id < fixpoint.size(); ++id) {
+    if (fixpoint.populated(id)) {
+      populated.push_back(fixpoint.name(id));
+      result.predicate_values[fixpoint.name(id)] = fixpoint.value(id);
+    }
+    if (needed.needed[id]) result.needed_predicates.insert(fixpoint.name(id));
   }
+  std::sort(populated.begin(), populated.end());
+  const std::vector<std::string> needed_sorted(
+      result.needed_predicates.begin(), result.needed_predicates.end());
 
-  const std::vector<std::string> populated = SortedPopulated(forward);
-  const std::vector<std::string> needed_sorted(backward.needed.begin(),
-                                               backward.needed.end());
+  for (std::size_t c = 0; c < fixpoint.channels().size(); ++c) {
+    const RelevanceFixpoint::Channel& channel = fixpoint.channels()[c];
+    const BindingPattern& pattern =
+        channel.view->templates()[channel.template_index];
+    ChannelVerdict verdict;
+    verdict.view = channel.view->name();
+    verdict.template_index = channel.template_index;
+    verdict.adornment = pattern.ToString();
 
-  for (const SourceView* view : forward.mentioned) {
-    for (std::size_t t = 0; t < view->templates().size(); ++t) {
-      const BindingPattern& pattern = view->templates()[t];
-      ChannelVerdict verdict;
-      verdict.view = view->name();
-      verdict.template_index = t;
-      verdict.adornment = pattern.ToString();
-
-      auto active = forward.active.find({view->name(), t});
-      if (active == forward.active.end()) {
-        // Never formable: certify with the forward-closed populated set
-        // and the first missing bound domain.
-        verdict.certificate.kind = PruningCertificate::Kind::kUnreachability;
-        verdict.certificate.closed_set = populated;
-        for (std::size_t pos : pattern.BoundPositions()) {
-          const std::string domain =
-              domains.DomainOf(view->schema().attribute(pos));
-          if (!Populated(forward, domain)) {
-            verdict.certificate.missing_domain = domain;
-            break;
-          }
-        }
-        result.channels.push_back(std::move(verdict));
-        continue;
-      }
-
-      verdict.reachable = true;
-      verdict.frontier_depth = active->second;
-      verdict.reachable_pattern.reserve(view->schema().arity());
-      bool all_constant = true;
-      std::uint64_t bound = 1;
-      for (std::size_t pos = 0; pos < view->schema().arity(); ++pos) {
-        if (!pattern.IsBound(pos)) {
-          verdict.reachable_pattern += 'f';
-          continue;
-        }
-        const std::string domain =
-            domains.DomainOf(view->schema().attribute(pos));
-        const AbstractBinding value = ValueOf(forward, domain);
-        if (value == AbstractBinding::kConstant) {
-          verdict.reachable_pattern += 'c';
-          bound = SaturatingMul(bound, forward.constants.at(domain).size());
-        } else {
-          verdict.reachable_pattern += 'v';
-          all_constant = false;
-        }
-      }
-      verdict.fetch_bound_finite = all_constant;
-      if (all_constant) verdict.fetch_bound = bound;
-
-      if (backward.needed.count(view->name()) > 0) {
-        verdict.relevant = true;
-        verdict.certificate.kind = PruningCertificate::Kind::kWitness;
-        verdict.certificate.steps = BuildWitness(backward, view->name());
-      } else {
-        verdict.certificate.kind = PruningCertificate::Kind::kIrrelevance;
-        verdict.certificate.closed_set = needed_sorted;
+    if (!fixpoint.open(c)) {
+      // Never formable: certify with the forward-closed populated set and
+      // the first missing bound domain.
+      verdict.certificate.kind = PruningCertificate::Kind::kUnreachability;
+      verdict.certificate.closed_set = populated;
+      for (Id domain : channel.bound) {
+        if (fixpoint.populated(domain)) continue;
+        verdict.certificate.missing_domain = fixpoint.name(domain);
+        break;
       }
       result.channels.push_back(std::move(verdict));
+      continue;
     }
+
+    verdict.reachable = true;
+    verdict.frontier_depth = fixpoint.depth(c);
+    verdict.reachable_pattern.reserve(channel.view->schema().arity());
+    bool all_constant = true;
+    std::uint64_t bound = 1;
+    std::size_t next_bound = 0;
+    for (std::size_t pos = 0; pos < channel.view->schema().arity(); ++pos) {
+      if (!pattern.IsBound(pos)) {
+        verdict.reachable_pattern += 'f';
+        continue;
+      }
+      const Id domain = channel.bound[next_bound++];
+      if (fixpoint.value(domain) == AbstractBinding::kConstant) {
+        verdict.reachable_pattern += 'c';
+        bound = SaturatingMul(bound, fixpoint.constants(domain));
+      } else {
+        verdict.reachable_pattern += 'v';
+        all_constant = false;
+      }
+    }
+    verdict.fetch_bound_finite = all_constant;
+    if (all_constant) verdict.fetch_bound = bound;
+
+    if (needed.needed[channel.view_id]) {
+      verdict.relevant = true;
+      verdict.certificate.kind = PruningCertificate::Kind::kWitness;
+      verdict.certificate.steps =
+          BuildWitness(fixpoint, needed, channel.view_id);
+    } else {
+      verdict.certificate.kind = PruningCertificate::Kind::kIrrelevance;
+      verdict.certificate.closed_set = needed_sorted;
+    }
+    result.channels.push_back(std::move(verdict));
   }
 
-  // Per-source aggregation over reachable channels.
-  for (const SourceView* view : forward.mentioned) {
+  // Per-source aggregation over reachable channels; a view's channels
+  // are adjacent.
+  for (std::size_t c = 0; c < result.channels.size();) {
     SourceBounds bounds;
-    bounds.view = view->name();
+    bounds.view = result.channels[c].view;
     bounds.frontier_depth = ChannelVerdict::kNoDepth;
     bounds.fetch_bound_finite = true;
     bool any = false;
-    for (const ChannelVerdict& verdict : result.channels) {
-      if (verdict.view != view->name() || !verdict.reachable) continue;
+    for (; c < result.channels.size() &&
+           result.channels[c].view == bounds.view;
+         ++c) {
+      const ChannelVerdict& verdict = result.channels[c];
+      if (!verdict.reachable) continue;
       any = true;
       bounds.frontier_depth =
           std::min(bounds.frontier_depth, verdict.frontier_depth);
@@ -428,23 +231,14 @@ void AppendBindingFlowDiagnostics(const Program& program,
   // Anchor a channel diagnostic at the first body atom mentioning its
   // view (the alpha rule in builder programs).
   auto channel_location = [&](const std::string& view) {
-    Location location;
     for (std::size_t r = 0; r < program.rules().size(); ++r) {
       const Rule& rule = program.rules()[r];
       for (std::size_t i = 0; i < rule.body.size(); ++i) {
         if (rule.body[i].predicate != view) continue;
-        location.rule = static_cast<int>(r);
-        location.atom = static_cast<int>(i);
-        location.context = rule.ToString();
-        if (source_map != nullptr && r < source_map->rules.size() &&
-            i < source_map->rules[r].body.size()) {
-          location.line = source_map->rules[r].body[i].line;
-          location.column = source_map->rules[r].body[i].column;
-        }
-        return location;
+        return RuleLocation(program, source_map, r, static_cast<int>(i));
       }
     }
-    return location;
+    return Location();
   };
 
   for (const ChannelVerdict& verdict : result.channels) {
@@ -492,16 +286,24 @@ Status VerifyCertificate(const Program& program,
                          const planner::DomainMap& domains,
                          const BindingFlowOptions& options,
                          const ChannelVerdict& verdict) {
-  const ForwardState forward = ComputeForward(program, views, domains);
+  const RelevanceFixpoint fixpoint(program, views, domains);
   const PruningCertificate& certificate = verdict.certificate;
-
-  std::unordered_map<std::string, const SourceView*> view_by_name;
-  for (const SourceView* view : forward.mentioned) {
-    view_by_name.emplace(view->name(), view);
-  }
-  auto find_view = [&](const std::string& name) -> const SourceView* {
-    auto it = view_by_name.find(name);
-    return it == view_by_name.end() ? nullptr : it->second;
+  // The channel `view`[`template_index`] and whether it opens; null when
+  // the catalog has no such channel.
+  auto channel_of = [&](const std::string& view, std::size_t template_index,
+                        bool* open) -> const RelevanceFixpoint::Channel* {
+    const std::size_t c = fixpoint.FindChannel(view, template_index);
+    if (c == std::string::npos) return nullptr;
+    *open = fixpoint.open(c);
+    return &fixpoint.channels()[c];
+  };
+  auto bound_on = [&](const RelevanceFixpoint::Channel& channel,
+                      const std::string& domain) {
+    return std::any_of(channel.bound.begin(), channel.bound.end(),
+                       [&](Id id) { return fixpoint.name(id) == domain; });
+  };
+  auto label = [](const std::string& view, std::size_t template_index) {
+    return view + "[" + std::to_string(template_index) + "]";
   };
 
   switch (certificate.kind) {
@@ -516,7 +318,9 @@ Status VerifyCertificate(const Program& program,
         return Status::InvalidArgument(
             "witness: chain does not start at the channel's view");
       }
-      if (forward.active.count({verdict.view, verdict.template_index}) == 0) {
+      bool open = false;
+      if (channel_of(verdict.view, verdict.template_index, &open) == nullptr ||
+          !open) {
         return Status::InvalidArgument(
             "witness: the certified channel is not reachable");
       }
@@ -524,57 +328,43 @@ Status VerifyCertificate(const Program& program,
         const WitnessStep& step = certificate.steps[i];
         const std::string& next = certificate.steps[i + 1].predicate;
         if (step.link == WitnessStep::Link::kRule) {
+          const std::string rule_label = std::to_string(step.rule_index);
           if (step.rule_index >= program.rules().size()) {
             return Status::InvalidArgument("witness: rule index out of range");
           }
           const Rule& rule = program.rules()[step.rule_index];
-          if (!forward.fired[step.rule_index]) {
-            return Status::InvalidArgument(
-                "witness: rule " + std::to_string(step.rule_index) +
-                " can never fire");
+          if (!fixpoint.fires(step.rule_index)) {
+            return Status::InvalidArgument("witness: rule " + rule_label +
+                                           " can never fire");
           }
           if (rule.head.predicate != next) {
-            return Status::InvalidArgument(
-                "witness: rule " + std::to_string(step.rule_index) +
-                " does not derive '" + next + "'");
+            return Status::InvalidArgument("witness: rule " + rule_label +
+                                           " does not derive '" + next + "'");
           }
-          bool in_body = false;
-          for (const Atom& atom : rule.body) {
-            if (atom.predicate == step.predicate) {
-              in_body = true;
-              break;
-            }
-          }
-          if (!in_body) {
-            return Status::InvalidArgument(
-                "witness: '" + step.predicate + "' not in body of rule " +
-                std::to_string(step.rule_index));
+          if (std::none_of(rule.body.begin(), rule.body.end(),
+                           [&](const Atom& atom) {
+                             return atom.predicate == step.predicate;
+                           })) {
+            return Status::InvalidArgument("witness: '" + step.predicate +
+                                           "' not in body of rule " +
+                                           rule_label);
           }
         } else if (step.link == WitnessStep::Link::kChannel) {
-          const SourceView* view = find_view(step.via_view);
-          if (view == nullptr ||
-              step.via_template >= view->templates().size()) {
+          const RelevanceFixpoint::Channel* channel =
+              channel_of(step.via_view, step.via_template, &open);
+          if (channel == nullptr) {
             return Status::InvalidArgument("witness: unknown channel link");
           }
           if (step.via_view != next) {
             return Status::InvalidArgument(
                 "witness: channel link does not feed '" + next + "'");
           }
-          if (forward.active.count({step.via_view, step.via_template}) == 0) {
+          if (!open) {
             return Status::InvalidArgument(
-                "witness: channel " + step.via_view + "[" +
-                std::to_string(step.via_template) + "] is not reachable");
+                "witness: channel " + label(step.via_view, step.via_template) +
+                " is not reachable");
           }
-          bool feeds = false;
-          for (std::size_t pos :
-               view->templates()[step.via_template].BoundPositions()) {
-            if (domains.DomainOf(view->schema().attribute(pos)) ==
-                step.predicate) {
-              feeds = true;
-              break;
-            }
-          }
-          if (!feeds) {
+          if (!bound_on(*channel, step.predicate)) {
             return Status::InvalidArgument(
                 "witness: '" + step.predicate +
                 "' is not a bound domain of the channel link");
@@ -586,7 +376,7 @@ Status VerifyCertificate(const Program& program,
       }
       const WitnessStep& last = certificate.steps.back();
       if (last.link != WitnessStep::Link::kGoal ||
-          !IsGoal(last.predicate, options.goal_predicate)) {
+          !planner::IsGoalPredicate(last.predicate, options.goal_predicate)) {
         return Status::InvalidArgument(
             "witness: chain does not terminate at the goal");
       }
@@ -601,16 +391,17 @@ Status VerifyCertificate(const Program& program,
             "irrelevance: closed set contains the channel's view");
       }
       for (const std::string& predicate : program.AllPredicates()) {
-        if (IsGoal(predicate, options.goal_predicate) &&
+        if (planner::IsGoalPredicate(predicate, options.goal_predicate) &&
             closed.count(predicate) == 0) {
           return Status::InvalidArgument(
               "irrelevance: goal '" + predicate + "' missing from closed set");
         }
       }
       for (std::size_t r = 0; r < program.rules().size(); ++r) {
-        if (!forward.fired[r]) continue;
         const Rule& rule = program.rules()[r];
-        if (closed.count(rule.head.predicate) == 0) continue;
+        if (!fixpoint.fires(r) || closed.count(rule.head.predicate) == 0) {
+          continue;
+        }
         for (const Atom& atom : rule.body) {
           if (closed.count(atom.predicate) == 0) {
             return Status::InvalidArgument(
@@ -619,18 +410,17 @@ Status VerifyCertificate(const Program& program,
           }
         }
       }
-      for (const SourceView* view : forward.mentioned) {
-        if (closed.count(view->name()) == 0) continue;
-        for (std::size_t t = 0; t < view->templates().size(); ++t) {
-          if (forward.active.count({view->name(), t}) == 0) continue;
-          for (std::size_t pos : view->templates()[t].BoundPositions()) {
-            const std::string domain =
-                domains.DomainOf(view->schema().attribute(pos));
-            if (closed.count(domain) == 0) {
-              return Status::InvalidArgument(
-                  "irrelevance: not closed under channel " + view->name() +
-                  "[" + std::to_string(t) + "] ('" + domain + "' missing)");
-            }
+      for (std::size_t c = 0; c < fixpoint.channels().size(); ++c) {
+        const RelevanceFixpoint::Channel& channel = fixpoint.channels()[c];
+        if (!fixpoint.open(c) || closed.count(channel.view->name()) == 0) {
+          continue;
+        }
+        for (Id domain : channel.bound) {
+          if (closed.count(fixpoint.name(domain)) == 0) {
+            return Status::InvalidArgument(
+                "irrelevance: not closed under channel " +
+                label(channel.view->name(), channel.template_index) + " ('" +
+                fixpoint.name(domain) + "' missing)");
           }
         }
       }
@@ -640,9 +430,15 @@ Status VerifyCertificate(const Program& program,
     case PruningCertificate::Kind::kUnreachability: {
       const std::set<std::string> closed(certificate.closed_set.begin(),
                                          certificate.closed_set.end());
-      const SourceView* view = find_view(verdict.view);
-      if (view == nullptr ||
-          verdict.template_index >= view->templates().size()) {
+      auto all_closed = [&](const auto& items, const auto& name_of) {
+        return std::all_of(items.begin(), items.end(), [&](const auto& item) {
+          return closed.count(name_of(item)) > 0;
+        });
+      };
+      bool open = false;
+      const RelevanceFixpoint::Channel* channel =
+          channel_of(verdict.view, verdict.template_index, &open);
+      if (channel == nullptr) {
         return Status::InvalidArgument("unreachability: unknown channel");
       }
       if (closed.count(certificate.missing_domain) > 0) {
@@ -650,50 +446,27 @@ Status VerifyCertificate(const Program& program,
             "unreachability: '" + certificate.missing_domain +
             "' is in the closed set");
       }
-      bool is_bound_domain = false;
-      for (std::size_t pos :
-           view->templates()[verdict.template_index].BoundPositions()) {
-        if (domains.DomainOf(view->schema().attribute(pos)) ==
-            certificate.missing_domain) {
-          is_bound_domain = true;
-          break;
-        }
-      }
-      if (!is_bound_domain) {
+      if (!bound_on(*channel, certificate.missing_domain)) {
         return Status::InvalidArgument(
             "unreachability: '" + certificate.missing_domain +
             "' is not a bound domain of the channel");
       }
       for (std::size_t r = 0; r < program.rules().size(); ++r) {
         const Rule& rule = program.rules()[r];
-        bool fireable = true;
-        for (const Atom& atom : rule.body) {
-          if (closed.count(atom.predicate) == 0) {
-            fireable = false;
-            break;
-          }
-        }
-        if (fireable && closed.count(rule.head.predicate) == 0) {
+        if (all_closed(rule.body,
+                       [](const Atom& atom) { return atom.predicate; }) &&
+            closed.count(rule.head.predicate) == 0) {
           return Status::InvalidArgument(
               "unreachability: not closed under rule " + std::to_string(r));
         }
       }
-      for (const SourceView* mentioned : forward.mentioned) {
-        for (std::size_t t = 0; t < mentioned->templates().size(); ++t) {
-          bool formable = true;
-          for (std::size_t pos :
-               mentioned->templates()[t].BoundPositions()) {
-            if (closed.count(domains.DomainOf(
-                    mentioned->schema().attribute(pos))) == 0) {
-              formable = false;
-              break;
-            }
-          }
-          if (formable && closed.count(mentioned->name()) == 0) {
-            return Status::InvalidArgument(
-                "unreachability: not closed under channel " +
-                mentioned->name() + "[" + std::to_string(t) + "]");
-          }
+      for (const RelevanceFixpoint::Channel& other : fixpoint.channels()) {
+        if (all_closed(other.bound,
+                       [&](Id id) { return fixpoint.name(id); }) &&
+            closed.count(other.view->name()) == 0) {
+          return Status::InvalidArgument(
+              "unreachability: not closed under channel " +
+              label(other.view->name(), other.template_index));
         }
       }
       return Status::OK();
@@ -701,26 +474,6 @@ Status VerifyCertificate(const Program& program,
   }
   return Status::InvalidArgument("unknown certificate kind");
 }
-
-namespace {
-
-std::string WitnessChainText(const std::vector<WitnessStep>& steps) {
-  std::string out;
-  for (std::size_t i = 0; i < steps.size(); ++i) {
-    const WitnessStep& step = steps[i];
-    out += step.predicate;
-    if (i + 1 == steps.size()) break;
-    if (step.link == WitnessStep::Link::kRule) {
-      out += " -(rule " + std::to_string(step.rule_index) + ")-> ";
-    } else {
-      out += " -(channel " + step.via_view + "[" +
-             std::to_string(step.via_template) + "])-> ";
-    }
-  }
-  return out;
-}
-
-}  // namespace
 
 std::string RenderBindingFlowText(const BindingFlowResult& result) {
   std::size_t relevant = 0, irrelevant = 0, unreachable = 0;
@@ -742,13 +495,8 @@ std::string RenderBindingFlowText(const BindingFlowResult& result) {
     if (!verdict.reachable) {
       out << "unreachable\n  refutation: bound domain '"
           << verdict.certificate.missing_domain
-          << "' is never populated; populated = {";
-      for (std::size_t i = 0; i < verdict.certificate.closed_set.size();
-           ++i) {
-        if (i > 0) out << ", ";
-        out << verdict.certificate.closed_set[i];
-      }
-      out << "}\n";
+          << "' is never populated; populated = {"
+          << Join(verdict.certificate.closed_set, ", ") << "}\n";
       continue;
     }
     out << "pattern=" << verdict.reachable_pattern << " depth="
@@ -762,13 +510,9 @@ std::string RenderBindingFlowText(const BindingFlowResult& result) {
       out << " relevant\n  witness: "
           << WitnessChainText(verdict.certificate.steps) << "\n";
     } else {
-      out << " irrelevant\n  refutation: needed = {";
-      for (std::size_t i = 0; i < verdict.certificate.closed_set.size();
-           ++i) {
-        if (i > 0) out << ", ";
-        out << verdict.certificate.closed_set[i];
-      }
-      out << "}; '" << verdict.view << "' is outside it\n";
+      out << " irrelevant\n  refutation: needed = {"
+          << Join(verdict.certificate.closed_set, ", ") << "}; '"
+          << verdict.view << "' is outside it\n";
     }
   }
   for (const SourceBounds& bounds : result.sources) {
@@ -839,14 +583,8 @@ std::string RenderBindingFlowJson(const BindingFlowResult& result) {
                         PruningCertificate::Kind::kIrrelevance
                     ? "irrelevance"
                     : "unreachability")
-            << "\",\"closed_set\":[";
-        bool first_predicate = true;
-        for (const std::string& predicate : verdict.certificate.closed_set) {
-          if (!first_predicate) out << ",";
-          first_predicate = false;
-          out << "\"" << JsonEscape(predicate) << "\"";
-        }
-        out << "]";
+            << "\",\"closed_set\":["
+            << JsonStrings(verdict.certificate.closed_set) << "]";
         if (!verdict.certificate.missing_domain.empty()) {
           out << ",\"missing_domain\":\""
               << JsonEscape(verdict.certificate.missing_domain) << "\"";
@@ -868,13 +606,7 @@ std::string RenderBindingFlowJson(const BindingFlowResult& result) {
     }
     out << "}";
   }
-  out << "],\"needed\":[";
-  first = true;
-  for (const std::string& predicate : result.needed_predicates) {
-    if (!first) out << ",";
-    first = false;
-    out << "\"" << JsonEscape(predicate) << "\"";
-  }
+  out << "],\"needed\":[" << JsonStrings(result.needed_predicates);
   out << "]}";
   return out.str();
 }

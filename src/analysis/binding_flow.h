@@ -143,27 +143,22 @@ struct BindingFlowResult {
   std::vector<std::pair<std::string, std::size_t>> PrunedChannels() const;
 };
 
-/// The binding-flow abstract interpretation (this PR's tentpole): a
-/// two-pass fixpoint dataflow over the adorned program and the
-/// catalog's fetch channels.
+/// The binding-flow abstract interpretation over the adorned program and
+/// the catalog's fetch channels, read off the one static relevance
+/// fixpoint (analysis/relevance_fixpoint.h).
 ///
-/// Forward pass (reachability): starting from the program's ground
-/// facts (the query's input bindings), alternate rule closure with
-/// channel activation — a channel activates in the first wave all its
-/// bound-position domain predicates are populated, mirroring the
-/// evaluator's fetch/eval alternation — joining each predicate up the
+/// Forward (reachability): from the program's ground facts (the query's
+/// input bindings), rule closure alternates with channel activation, as
+/// in the evaluator's fetch/eval rounds, joining each predicate up the
 /// AbstractBinding lattice. Yields per-channel reachable patterns,
 /// frontier depths and fetch-count bounds.
 ///
-/// Backward pass (relevance): close the goal predicates backward under
-/// abstractly-firing rules (head needed ⇒ body needed) and reachable
-/// channels (view needed ⇒ its active channels' bound domains needed).
-/// A reachable channel of a view outside the needed set can never feed
-/// the goal: dropping it is answer-preserving, because any fact chain
-/// from the channel to the goal would have put its view inside the
-/// closure. This is strictly stronger than `can_fire` (LC021), which
-/// only asks whether a rule can derive *some* fact, not whether that
-/// fact matters.
+/// Backward (relevance): close the goal predicates backward under firing
+/// rules (head needed ⇒ body needed) and reachable channels (view needed
+/// ⇒ its open channels' bound domains needed). A reachable channel of a
+/// view outside the needed set can never feed the goal: dropping it is
+/// answer-preserving, since any fact chain from the channel to the goal
+/// would have put its view inside the closure.
 ///
 /// Every verdict carries a certificate; VerifyCertificate re-checks it
 /// independently of this function's internals.

@@ -5,9 +5,6 @@
 
 namespace limcap::analysis {
 
-namespace {
-
-/// Escapes `text` for inclusion in a JSON string literal.
 std::string JsonEscape(const std::string& text) {
   std::string out;
   out.reserve(text.size() + 2);
@@ -41,6 +38,8 @@ std::string JsonEscape(const std::string& text) {
   }
   return out;
 }
+
+namespace {
 
 std::string Plural(std::size_t n, const char* noun) {
   std::string out = std::to_string(n) + " " + noun;

@@ -16,6 +16,9 @@ enum class Severity { kError, kWarning, kNote };
 /// "error" / "warning" / "note".
 const char* SeverityToString(Severity severity);
 
+/// Escapes `text` for inclusion in a JSON string literal.
+std::string JsonEscape(const std::string& text);
+
 /// Stable diagnostic codes. The numeric value is the code's LC number and
 /// must never be reused or renumbered: golden files, CI greps and user
 /// scripts key on them. Gaps group the codes by family (00x structural,

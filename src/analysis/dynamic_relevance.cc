@@ -4,6 +4,8 @@
 #include <map>
 #include <utility>
 
+#include "planner/program_builder.h"
+
 namespace limcap::analysis {
 
 namespace {
@@ -154,12 +156,6 @@ struct TaintAnalysis {
   const DynamicRelevanceChecker& checker;
   const datalog::Program& program;
   const DynamicRelevanceOptions& options;
-
-  bool IsGoal(const std::string& predicate) const {
-    if (predicate == options.goal_predicate) return true;
-    const std::string tagged = options.goal_predicate + "$";
-    return predicate.compare(0, tagged.size(), tagged) == 0;
-  }
 
   bool IsDomainPred(const std::string& predicate) const {
     for (const DynamicChannelInfo& channel : checker.channels()) {
@@ -333,7 +329,7 @@ struct TaintAnalysis {
       }
     }
     for (const std::string& name : *tainted) {
-      if (IsGoal(name)) return false;
+      if (planner::IsGoalPredicate(name, options.goal_predicate)) return false;
     }
     return true;
   }

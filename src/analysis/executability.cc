@@ -1,9 +1,8 @@
 #include "analysis/executability.h"
 
-#include <algorithm>
-#include <unordered_map>
 #include <unordered_set>
 
+#include "analysis/relevance_fixpoint.h"
 #include "common/string_util.h"
 
 namespace limcap::analysis {
@@ -16,41 +15,6 @@ using datalog::Atom;
 using datalog::Program;
 using datalog::Rule;
 using datalog::Term;
-
-/// Shared per-program context for both fixpoints.
-struct Context {
-  const Program* program;
-  const planner::DomainMap* domains;
-  const ExecutabilityOptions* options;
-  /// Catalog views mentioned by the program, by predicate name.
-  std::unordered_map<std::string, const SourceView*> views;
-
-  bool IsView(const std::string& predicate) const {
-    return views.count(predicate) > 0;
-  }
-};
-
-/// True when template `pattern` of `view` has every bound attribute's
-/// domain predicate in `producible` — the source-driven evaluator can
-/// then form queries for it out of the domain relations.
-bool TemplateFetchable(const SourceView& view, const BindingPattern& pattern,
-                       const planner::DomainMap& domains,
-                       const std::set<std::string>& producible) {
-  for (std::size_t i : pattern.BoundPositions()) {
-    if (producible.count(domains.DomainOf(view.schema().attribute(i))) == 0) {
-      return false;
-    }
-  }
-  return true;
-}
-
-bool ViewFetchable(const SourceView& view, const planner::DomainMap& domains,
-                   const std::set<std::string>& producible) {
-  for (const BindingPattern& pattern : view.templates()) {
-    if (TemplateFetchable(view, pattern, domains, producible)) return true;
-  }
-  return false;
-}
 
 /// The variables a head's input adornment binds on rule entry.
 std::unordered_set<std::string> AdornedHeadVars(
@@ -97,12 +61,13 @@ bool AtomBindable(const Atom& atom, const SourceView& view,
 /// executable ordering iff one exists). Returns true when every atom was
 /// placed; `order` receives the witness ordering and `bound` the final
 /// bound-variable set either way.
-bool GreedySipSearch(const Context& ctx, const Rule& rule,
+bool GreedySipSearch(const RelevanceFixpoint& fixpoint, const Rule& rule,
+                     const ExecutabilityOptions& options,
                      const std::set<std::string>& sip_producible,
                      std::vector<std::size_t>* order,
                      std::unordered_set<std::string>* bound) {
   order->clear();
-  *bound = AdornedHeadVars(rule, *ctx.options);
+  *bound = AdornedHeadVars(rule, options);
   std::vector<bool> placed(rule.body.size(), false);
   bool progressed = true;
   while (progressed) {
@@ -110,15 +75,11 @@ bool GreedySipSearch(const Context& ctx, const Rule& rule,
     for (std::size_t i = 0; i < rule.body.size(); ++i) {
       if (placed[i]) continue;
       const Atom& atom = rule.body[i];
-      auto view_it = ctx.views.find(atom.predicate);
-      bool placeable;
-      if (view_it != ctx.views.end()) {
-        placeable = sip_producible.count(atom.predicate) > 0 ||
-                    AtomBindable(atom, *view_it->second, *bound);
-      } else {
-        placeable = sip_producible.count(atom.predicate) > 0;
+      const SourceView* view = fixpoint.FindView(atom.predicate);
+      if (sip_producible.count(atom.predicate) == 0 &&
+          (view == nullptr || !AtomBindable(atom, *view, *bound))) {
+        continue;
       }
-      if (!placeable) continue;
       placed[i] = true;
       order->push_back(i);
       for (const Term& term : atom.terms) {
@@ -130,90 +91,46 @@ bool GreedySipSearch(const Context& ctx, const Rule& rule,
   return order->size() == rule.body.size();
 }
 
-/// Whether the rule can fire under source-driven evaluation with the
-/// given producible/fetchable sets; fills `dead_atoms` with the body
-/// indices whose relation is provably always empty.
-bool RuleCanFire(const Context& ctx, const Rule& rule,
-                 const std::set<std::string>& producible,
-                 const std::set<std::string>& fetchable,
-                 std::vector<std::size_t>* dead_atoms) {
-  if (dead_atoms != nullptr) dead_atoms->clear();
-  bool fires = true;
-  for (std::size_t i = 0; i < rule.body.size(); ++i) {
-    const Atom& atom = rule.body[i];
-    bool alive = producible.count(atom.predicate) > 0 ||
-                 (ctx.IsView(atom.predicate) &&
-                  fetchable.count(atom.predicate) > 0);
-    if (alive) continue;
-    fires = false;
-    if (dead_atoms == nullptr) return false;
-    dead_atoms->push_back(i);
-  }
-  return fires;
-}
-
 }  // namespace
 
 ExecutabilityResult AnalyzeExecutability(const Program& program,
                                          const std::vector<SourceView>& views,
                                          const planner::DomainMap& domains,
                                          const ExecutabilityOptions& options) {
-  Context ctx;
-  ctx.program = &program;
-  ctx.domains = &domains;
-  ctx.options = &options;
+  return AnalyzeExecutability(RelevanceFixpoint(program, views, domains),
+                              program, options);
+}
 
+ExecutabilityResult AnalyzeExecutability(const RelevanceFixpoint& fixpoint,
+                                         const Program& program,
+                                         const ExecutabilityOptions& options) {
   ExecutabilityResult result;
-  std::set<std::string> mentioned = program.AllPredicates();
-  for (const SourceView& view : views) {
-    if (mentioned.count(view.name()) == 0) continue;
-    ctx.views.emplace(view.name(), &view);
-    result.mentioned_views.push_back(view.name());
+  for (const SourceView* view : fixpoint.views()) {
+    result.mentioned_views.push_back(view->name());
   }
+  result.fetchable_views = fixpoint.OpenViews();
 
+  // can_fire / producible / dead atoms, read off the forward fixpoint (the
+  // evaluator-sound semantics pruning uses).
   const std::vector<Rule>& rules = program.rules();
   result.rules.resize(rules.size());
-
-  // Fixpoint 1 — can_fire / producible / fetchable (the evaluator-sound
-  // semantics used for pruning). Firing is monotone in (producible,
-  // fetchable), both of which only grow, so each rule is re-examined
-  // only until it first fires.
-  {
-    std::vector<bool> fires(rules.size(), false);
-    bool changed = true;
-    while (changed) {
-      changed = false;
-      result.fetchable_views.clear();
-      for (const auto& [name, view] : ctx.views) {
-        if (ViewFetchable(*view, domains, result.producible)) {
-          result.fetchable_views.insert(name);
-        }
-      }
-      for (std::size_t r = 0; r < rules.size(); ++r) {
-        if (fires[r]) continue;
-        if (!RuleCanFire(ctx, rules[r], result.producible,
-                         result.fetchable_views, nullptr)) {
-          continue;
-        }
-        fires[r] = true;
-        changed |= result.producible.insert(rules[r].head.predicate).second;
-        // A newly firing rule matters even when its head predicate was
-        // already producible only for its own verdict, which `fires`
-        // already records.
-      }
+  for (std::size_t r = 0; r < rules.size(); ++r) {
+    RuleVerdict& verdict = result.rules[r];
+    verdict.can_fire = fixpoint.fires(r);
+    if (verdict.can_fire) {
+      result.producible.insert(rules[r].head.predicate);
+      continue;
     }
-    for (std::size_t r = 0; r < rules.size(); ++r) {
-      result.rules[r].can_fire = fires[r];
-      if (!fires[r]) {
-        RuleCanFire(ctx, rules[r], result.producible, result.fetchable_views,
-                    &result.rules[r].dead_atoms);
+    for (std::size_t i = 0; i < rules[r].body.size(); ++i) {
+      if (!fixpoint.populated(fixpoint.body(r)[i])) {
+        verdict.dead_atoms.push_back(i);
       }
     }
   }
 
-  // Fixpoint 2 — sip_executable / sip_producible (the adorned
-  // sideways-information-passing semantics of Sections 2-3: each rule
-  // must carry its own bindings). Same monotone structure.
+  // sip_executable / sip_producible (the adorned sideways-information-
+  // passing semantics of Sections 2-3: each rule must carry its own
+  // bindings), a monotone fixpoint of its own.
   {
     std::vector<bool> executable(rules.size(), false);
     std::vector<std::size_t> order;
@@ -223,8 +140,8 @@ ExecutabilityResult AnalyzeExecutability(const Program& program,
       changed = false;
       for (std::size_t r = 0; r < rules.size(); ++r) {
         if (executable[r]) continue;
-        if (!GreedySipSearch(ctx, rules[r], result.sip_producible, &order,
-                             &bound)) {
+        if (!GreedySipSearch(fixpoint, rules[r], options,
+                             result.sip_producible, &order, &bound)) {
           continue;
         }
         executable[r] = true;
@@ -237,8 +154,8 @@ ExecutabilityResult AnalyzeExecutability(const Program& program,
       verdict.sip_executable = executable[r];
       // Re-run at the final fixpoint for the witness ordering (or, on
       // failure, the stuck atoms at the maximal bound set).
-      GreedySipSearch(ctx, rules[r], result.sip_producible, &verdict.sip_order,
-                      &bound);
+      GreedySipSearch(fixpoint, rules[r], options, result.sip_producible,
+                      &verdict.sip_order, &bound);
       verdict.sip_bound_variables.insert(bound.begin(), bound.end());
       if (executable[r]) continue;
       std::vector<bool> placed(rules[r].body.size(), false);
@@ -246,9 +163,8 @@ ExecutabilityResult AnalyzeExecutability(const Program& program,
       for (std::size_t i = 0; i < rules[r].body.size(); ++i) {
         if (placed[i]) continue;
         const Atom& atom = rules[r].body[i];
-        auto view_it = ctx.views.find(atom.predicate);
-        if (view_it == ctx.views.end()) continue;
-        if (!AtomBindable(atom, *view_it->second, bound)) {
+        const SourceView* view = fixpoint.FindView(atom.predicate);
+        if (view != nullptr && !AtomBindable(atom, *view, bound)) {
           verdict.unbindable_atoms.push_back(i);
         }
       }
@@ -258,36 +174,19 @@ ExecutabilityResult AnalyzeExecutability(const Program& program,
   return result;
 }
 
-void AppendExecutabilityDiagnostics(const Program& program,
-                                    const std::vector<SourceView>& views,
-                                    const ExecutabilityResult& result,
-                                    const datalog::ProgramSourceMap* source_map,
-                                    DiagnosticBag* bag) {
-  std::unordered_map<std::string, const SourceView*> view_by_name;
-  for (const SourceView& view : views) view_by_name.emplace(view.name(), &view);
+namespace {
 
-  auto rule_location = [&](std::size_t r, int atom) {
-    Location location;
-    location.rule = static_cast<int>(r);
-    location.atom = atom;
-    if (source_map != nullptr && r < source_map->rules.size()) {
-      const datalog::RuleSpan& span = source_map->rules[r];
-      const datalog::SourceSpan& pos =
-          atom != Location::kNone &&
-                  static_cast<std::size_t>(atom) < span.body.size()
-              ? span.body[atom]
-              : span.rule;
-      location.line = pos.line;
-      location.column = pos.column;
-    }
-    location.context = program.rules()[r].ToString();
-    return location;
-  };
-
+/// The LC020-LC023 findings; `find_view` maps a mentioned view's name to
+/// its SourceView.
+template <typename FindView>
+void AppendDiagnostics(const Program& program, const FindView& find_view,
+                       const ExecutabilityResult& result,
+                       const datalog::ProgramSourceMap* source_map,
+                       DiagnosticBag* bag) {
   // LC023 — views the program mentions that can never be queried.
   for (const std::string& name : result.mentioned_views) {
     if (result.fetchable_views.count(name) > 0) continue;
-    const SourceView& view = *view_by_name.at(name);
+    const SourceView& view = *find_view(name);
     Diagnostic& d = bag->Report(
         Code::kUnfetchableView,
         "source view '" + view.ToString() +
@@ -317,17 +216,15 @@ void AppendExecutabilityDiagnostics(const Program& program,
     // LC020 — view atoms no ordering can bind.
     for (std::size_t i : verdict.unbindable_atoms) {
       const Atom& atom = rule.body[i];
-      auto it = view_by_name.find(atom.predicate);
+      const SourceView* view = find_view(atom.predicate);
       Diagnostic& d = bag->Report(
           Code::kUnbindableViewAtom,
           "no body ordering binds the required attributes of source-view "
           "atom '" +
               atom.ToString() + "'",
-          rule_location(r, static_cast<int>(i)));
-      if (it != view_by_name.end()) {
-        const SourceView& view = *it->second;
-        for (std::size_t t = 0; t < view.templates().size(); ++t) {
-          const BindingPattern& pattern = view.templates()[t];
+          RuleLocation(program, source_map, r, static_cast<int>(i)));
+      if (view != nullptr) {
+        for (const BindingPattern& pattern : view->templates()) {
           std::vector<std::string> missing;
           for (std::size_t pos : pattern.BoundPositions()) {
             if (pos < atom.terms.size()) {
@@ -335,7 +232,7 @@ void AppendExecutabilityDiagnostics(const Program& program,
               if (term.is_constant()) continue;
               if (verdict.sip_bound_variables.count(term.var()) > 0) continue;
             }
-            missing.push_back(view.schema().attribute(pos));
+            missing.push_back(view->schema().attribute(pos));
           }
           d.notes.push_back(
               "template '" + pattern.ToString() + "' requires {" +
@@ -352,19 +249,46 @@ void AppendExecutabilityDiagnostics(const Program& program,
                       "rule for '" + rule.head.predicate +
                           "' can never fire; pruning it cannot change any "
                           "answer",
-                      rule_location(r, Location::kNone));
+                      RuleLocation(program, source_map, r, Location::kNone));
       for (std::size_t i : verdict.dead_atoms) {
         const Atom& atom = rule.body[i];
         d.notes.push_back(
             "body atom '" + atom.ToString() + "' is always empty (" +
             (result.fetchable_views.count(atom.predicate) == 0 &&
-                     view_by_name.count(atom.predicate) > 0
+                     find_view(atom.predicate) != nullptr
                  ? "the view can never be queried"
                  : "the predicate is never derivable") +
             ")");
       }
     }
   }
+}
+
+}  // namespace
+
+void AppendExecutabilityDiagnostics(const Program& program,
+                                    const std::vector<SourceView>& views,
+                                    const ExecutabilityResult& result,
+                                    const datalog::ProgramSourceMap* source_map,
+                                    DiagnosticBag* bag) {
+  auto find_view = [&](const std::string& name) -> const SourceView* {
+    for (const SourceView& view : views) {
+      if (view.name() == name) return &view;
+    }
+    return nullptr;
+  };
+  AppendDiagnostics(program, find_view, result, source_map, bag);
+}
+
+void AppendExecutabilityDiagnostics(const Program& program,
+                                    const RelevanceFixpoint& fixpoint,
+                                    const ExecutabilityResult& result,
+                                    const datalog::ProgramSourceMap* source_map,
+                                    DiagnosticBag* bag) {
+  auto find_view = [&](const std::string& name) {
+    return fixpoint.FindView(name);
+  };
+  AppendDiagnostics(program, find_view, result, source_map, bag);
 }
 
 datalog::Program PruneNeverFiringRules(const Program& program,
@@ -380,29 +304,7 @@ datalog::Program PruneNeverFiringRules(const Program& program,
 std::set<std::string> ReachableViews(const std::vector<SourceView>& views,
                                      const planner::DomainMap& domains,
                                      const capability::AttributeSet& seeded) {
-  std::set<std::string> available;  // populated domain predicates
-  for (const std::string& attribute : seeded) {
-    available.insert(domains.DomainOf(attribute));
-  }
-  std::set<std::string> reachable;
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (const SourceView& view : views) {
-      for (const BindingPattern& pattern : view.templates()) {
-        if (!TemplateFetchable(view, pattern, domains, available)) continue;
-        changed |= reachable.insert(view.name()).second;
-        // The answered tuples populate the domains of the template's
-        // free positions (the builder's domain rules).
-        for (std::size_t i : pattern.FreePositions()) {
-          changed |=
-              available.insert(domains.DomainOf(view.schema().attribute(i)))
-                  .second;
-        }
-      }
-    }
-  }
-  return reachable;
+  return RelevanceFixpoint::ColdStart(views, domains, seeded).OpenViews();
 }
 
 }  // namespace limcap::analysis

@@ -73,21 +73,13 @@ struct ExecutabilityResult {
   std::vector<std::string> mentioned_views;
 };
 
-/// The adorned executability analysis (the tentpole pass): decides, for
-/// every rule of `program`, whether it admits an executable
-/// sideways-information-passing order and whether it can ever fire under
-/// the source-driven evaluation of Section 3.3, iterated to a
-/// program-level fixpoint so a rule is executable only if its feeders
-/// are.
-///
-/// Model (mirrors exec::SourceDrivenEvaluator):
-///   * a view atom's facts come from source queries the evaluator forms
-///     out of the *domain predicates* of a template's bound attributes —
-///     a view is fetchable iff some template has every bound attribute's
-///     domain predicate producible;
-///   * an IDB predicate is producible iff some rule deriving it can
-///     fire; a ground fact rule always fires;
-///   * a rule can fire iff every body atom can hold facts.
+/// The adorned executability analysis: decides, for every rule of
+/// `program`, whether it admits an executable sideways-information-
+/// passing order (a fixpoint of its own) and whether it can ever fire
+/// under the source-driven evaluation of Section 3.3 (read off the static
+/// relevance fixpoint, analysis/relevance_fixpoint.h: a rule fires iff
+/// every body predicate is populated, where a mentioned view is populated
+/// once some template's bound domains are).
 ///
 /// Soundness: `can_fire == false` implies the rule derives nothing in
 /// any evaluation of the program (its facts, its queries, its answers
@@ -118,11 +110,12 @@ datalog::Program PruneNeverFiringRules(const datalog::Program& program,
 
 /// Catalog-level cold-start reachability: which views could ever be
 /// queried when evaluation starts with the attributes in `seeded` bound
-/// (pass the query's input attributes; empty = nothing known). A view
-/// becomes reachable when some template's bound attributes are all
-/// seeded or delivered by free positions of already-reachable views
-/// sharing the same domain. Views outside the returned set can never be
-/// accessed by any query whose inputs are limited to `seeded`.
+/// (pass the query's input attributes; empty = nothing known). The static
+/// relevance fixpoint over the catalog's implied domain rules: a view
+/// becomes reachable when some template's bound domains are populated,
+/// and then populates the domains of all its attributes. Views outside
+/// the returned set can never be accessed by any query whose inputs are
+/// limited to `seeded`.
 std::set<std::string> ReachableViews(
     const std::vector<capability::SourceView>& views,
     const planner::DomainMap& domains,

@@ -29,7 +29,7 @@ struct LintRequest {
   /// Connection-query text for planner::ParseQuery.
   std::string query_text;
   bool has_query = false;
-  /// Analyzer knobs (goal predicate, pass toggles).
+  /// Analyzer knobs (goal predicate, domains).
   AnalysisOptions options;
   /// Builder knobs for query mode.
   planner::BuilderOptions builder;

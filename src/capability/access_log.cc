@@ -6,15 +6,11 @@
 namespace limcap::capability {
 
 std::string AccessRecord::RenderedQuery() const {
-  if (!rendered_query.empty()) return rendered_query;
   if (view == nullptr || query.dict == nullptr) return "";
   return query.Render(*view);
 }
 
 std::vector<std::string> AccessRecord::ReturnedRendered() const {
-  if (!returned_rendered.empty() || returned_ids.empty()) {
-    return returned_rendered;
-  }
   std::vector<std::string> rendered;
   rendered.reserve(returned_ids.size());
   for (const relational::IdRow& row : returned_ids) {
@@ -27,7 +23,6 @@ std::vector<std::string> AccessRecord::ReturnedRendered() const {
 }
 
 std::vector<std::string> AccessRecord::NewBindings() const {
-  if (!new_bindings.empty() || new_binding_ids.empty()) return new_bindings;
   std::vector<std::string> rendered;
   rendered.reserve(new_binding_ids.size());
   for (const auto& [attribute, id] : new_binding_ids) {
@@ -37,11 +32,6 @@ std::vector<std::string> AccessRecord::NewBindings() const {
 }
 
 void AccessLog::Record(AccessRecord record) {
-  if (eager_render_) {
-    record.rendered_query = record.RenderedQuery();
-    record.returned_rendered = record.ReturnedRendered();
-    record.new_bindings = record.NewBindings();
-  }
   records_.push_back(std::move(record));
 }
 

@@ -17,25 +17,20 @@ namespace limcap::capability {
 ///
 /// Records are interned: the query and returned tuples are kept as
 /// session-dictionary ids, and the paper-notation strings are rendered
-/// only when asked for (or eagerly when the log's eager_render flag is
-/// on), so logging on the execution hot path formats nothing. The
-/// `rendered_*` string fields are overrides: a non-empty value (set by
-/// hand-built records in tests, or by eager rendering) is returned as-is.
+/// only when asked for, so logging on the execution hot path formats
+/// nothing. The query's shared dictionary keeps every record decodable.
 struct AccessRecord {
   std::string source;                ///< view name, e.g. "v1"
   SourceQuery query;                 ///< the bindings sent (interned)
   /// View for lazy rendering; records own a shared copy because logs
   /// outlive the execution that produced them.
   std::shared_ptr<const SourceView> view;
-  std::string rendered_query;        ///< override; empty → render from ids
   std::size_t tuples_returned = 0;
   std::size_t new_tuples = 0;        ///< tuples not previously obtained
   /// New tuples as session-dictionary id rows, in the view's schema.
   std::vector<relational::IdRow> returned_ids;
-  std::vector<std::string> returned_rendered;  ///< override; empty → ids
   /// New bindings as (attribute, session id) pairs.
   std::vector<std::pair<std::string, ValueId>> new_binding_ids;
-  std::vector<std::string> new_bindings;       ///< override; empty → ids
   /// Error message when the source failed to answer (empty on success).
   std::string error;
   /// Fetch-evaluate round in which the query was issued (0-based);
@@ -57,12 +52,6 @@ struct AccessRecord {
 class AccessLog {
  public:
   void Record(AccessRecord record);
-
-  /// When set, Record renders every string field at record time (useful
-  /// when the session dictionary will not outlive the log's readers, or
-  /// for verbose tracing). Off by default: strings render on demand.
-  void set_eager_render(bool eager) { eager_render_ = eager; }
-  bool eager_render() const { return eager_render_; }
 
   const std::vector<AccessRecord>& records() const { return records_; }
   std::size_t total_queries() const { return records_.size(); }
@@ -86,7 +75,6 @@ class AccessLog {
 
  private:
   std::vector<AccessRecord> records_;
-  bool eager_render_ = false;
 };
 
 }  // namespace limcap::capability

@@ -66,34 +66,22 @@ Result<datalog::Program> ApplyStaticAnalysisGate(
     AnswerReport* report) {
   if (options.static_analysis == StaticAnalysisMode::kOff) return program;
   obs::ScopedSpan gate_span(options.tracer, "analysis.gate");
+  // One analysis, one relevance fixpoint: LC030-LC032 are warnings and
+  // notes, so kReject semantics are unchanged; under kPrune the rules that
+  // never fire are dropped here and the statically irrelevant channels
+  // before scheduling (see RunPipeline).
   analysis::AnalysisOptions analysis_options;
   analysis_options.goal_predicate = options.builder.goal_predicate;
   analysis_options.domains = domains;
-  report->analysis = analysis::AnalyzeProgram(program, views,
-                                              analysis_options);
+  analysis_options.check_binding_flow = true;
+  report->analysis =
+      analysis::AnalyzeProgram(program, views, analysis_options);
   report->analysis_ran = true;
-  {
-    // The binding-flow pass runs under its own span so the timeline
-    // separates the channel-relevance fixpoint from the older passes.
-    // Its LC030-LC032 findings are warnings/notes, so kReject semantics
-    // are unchanged; under kPrune its verdicts drop the statically
-    // irrelevant channels before scheduling (see below).
-    obs::ScopedSpan flow_span(options.tracer, "analysis.binding_flow");
-    analysis::BindingFlowOptions flow_options;
-    flow_options.goal_predicate = options.builder.goal_predicate;
-    report->analysis.binding_flow =
-        analysis::AnalyzeBindingFlow(program, views, domains, flow_options);
-    report->analysis.binding_flow_ran = true;
-    analysis::AppendBindingFlowDiagnostics(
-        program, report->analysis.binding_flow, nullptr,
-        &report->analysis.diagnostics);
-    report->analysis.diagnostics.Sort();
-    flow_span.Counter(
-        "prunable_channels",
-        double(report->analysis.binding_flow.PrunedChannels().size()));
-  }
   gate_span.Counter("diagnostics",
                     double(report->analysis.diagnostics.size()));
+  gate_span.Counter(
+      "prunable_channels",
+      double(report->analysis.binding_flow.PrunedChannels().size()));
   if (options.metrics != nullptr) {
     options.metrics->Add(obs::metric::kAnalysisDiagnostics,
                          double(report->analysis.diagnostics.size()));

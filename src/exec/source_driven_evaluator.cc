@@ -85,7 +85,6 @@ Result<ExecResult> SourceDrivenEvaluator::Execute(
   }
   const ValueDictionaryPtr& dict = result.store.dict_ptr();
   result.session_dict = dict;
-  result.log.set_eager_render(options_.eager_render_log);
 
   datalog::Evaluator::Options eval_options;
   eval_options.mode = options_.mode;
@@ -198,8 +197,7 @@ Result<ExecResult> SourceDrivenEvaluator::Execute(
   }
 
   // Single-translation accounting: everything after plan compilation is
-  // id-only except source ingest (and the log's optional eager render),
-  // which accrues into `ingest_allowance`.
+  // id-only except source ingest, which accrues into `ingest_allowance`.
   const uint64_t translations_at_start = dict->translation_count();
   uint64_t ingest_allowance = 0;
 
@@ -407,8 +405,8 @@ Result<ExecResult> SourceDrivenEvaluator::Execute(
 
     if (!requests.empty()) {
       // Everything the batch window translates — source ingest, private-
-      // dictionary cloning under concurrent dispatch, re-keying, the
-      // log's optional eager render — is ingest, not hot path.
+      // dictionary cloning under concurrent dispatch, re-keying — is
+      // ingest, not hot path.
       const uint64_t before_batch = dict->translation_count();
       runtime::AdaptiveDispatcher::SkipProbe probe;
       if (checker != nullptr) {

@@ -100,10 +100,6 @@ struct ExecOptions {
   /// mediator passes its own so the answer stays decodable after the
   /// evaluator is gone.
   ValueDictionaryPtr session_dict;
-  /// When true, the access log renders its paper-notation strings at
-  /// record time instead of lazily on first read. Costs one decode pass
-  /// per logged tuple on the execution path; useful for verbose tracing.
-  bool eager_render_log = false;
   /// Fetch channels — (view name, template index) pairs — the evaluator
   /// must not schedule queries for. Filled by QueryAnswerer under
   /// StaticAnalysisMode::kPrune from the binding-flow verdicts
@@ -175,11 +171,10 @@ struct ExecResult {
   std::map<std::string, runtime::SourceProfile> adaptive_profiles;
   /// Value↔id translations the session dictionary performed on the hot
   /// path after plan compilation, excluding source ingest (each source's
-  /// Execute and any re-keying of foreign-dictionary answers) and the
-  /// log's eager rendering. The single-translation invariant of the
-  /// interned execution path makes this 0: once a tuple enters the
-  /// session dictionary it flows as ids to the final answer. Tests
-  /// assert on it.
+  /// Execute and any re-keying of foreign-dictionary answers). The
+  /// single-translation invariant of the interned execution path makes
+  /// this 0: once a tuple enters the session dictionary it flows as ids
+  /// to the final answer. Tests assert on it.
   uint64_t post_ingest_translations = 0;
 };
 

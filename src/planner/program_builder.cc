@@ -36,6 +36,11 @@ std::vector<Atom> ViewRuleBody(const SourceView& view,
 
 }  // namespace
 
+bool IsGoalPredicate(std::string_view name, std::string_view goal) {
+  return name.substr(0, goal.size()) == goal &&
+         (name.size() == goal.size() || name[goal.size()] == '$');
+}
+
 std::string AlphaPredicate(const SourceView& view,
                            const BuilderOptions& options) {
   return view.name() + options.alpha_suffix;

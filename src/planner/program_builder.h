@@ -2,6 +2,7 @@
 #define LIMCAP_PLANNER_PROGRAM_BUILDER_H_
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "capability/source_view.h"
@@ -35,6 +36,11 @@ struct BuilderOptions {
   /// untouched. 0 disables decomposition.
   std::size_t max_rule_body_atoms = 3;
 };
+
+/// True when `name` is the goal predicate `goal` or a tagged goal
+/// `goal$...` (the per-connection goals `goal$c<k>` are output predicates
+/// in their own right). The one goal test every pass shares.
+bool IsGoalPredicate(std::string_view name, std::string_view goal);
 
 /// Builds the Datalog program Π(Q, V) of Section 3.1 from query `query`
 /// and the adorned views `views`:

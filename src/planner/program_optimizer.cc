@@ -85,9 +85,8 @@ OptimizedProgram RemoveUselessRules(const datalog::Program& program,
     }
   };
   absorb(graph.Find(goal_predicate));
-  const std::string tagged_prefix = goal_predicate + "$";
   for (const datalog::Rule& rule : program.rules()) {
-    if (rule.head.predicate.rfind(tagged_prefix, 0) == 0) {
+    if (IsGoalPredicate(rule.head.predicate, goal_predicate)) {
       absorb(graph.Find(rule.head.predicate));
     }
   }

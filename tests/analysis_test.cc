@@ -268,16 +268,6 @@ TEST(AnalyzerTest, ViewArityMismatchIsError) {
   EXPECT_FALSE(result.ok());
 }
 
-TEST(AnalyzerTest, PassTogglesDisablePasses) {
-  datalog::Program program = Parse("ans(X) :- p(X, Lonely).\np(a, b).");
-  AnalysisOptions options;
-  options.note_singleton_variables = false;
-  options.check_executability = false;
-  AnalysisResult result = AnalyzeProgram(program, {}, options);
-  EXPECT_FALSE(HasCode(result.diagnostics, Code::kSingletonVariable));
-  EXPECT_FALSE(result.executability_ran);
-}
-
 // ---------------------------------------------------------------------
 // Adorned executability (the tentpole pass).
 
@@ -468,7 +458,8 @@ TEST(LintTest, QueryModeBuildsAndAnalyzesFullProgram) {
   ASSERT_TRUE(report.ok()) << report.status().message();
   EXPECT_TRUE(report->ok());
   EXPECT_FALSE(report->program.rules().empty());
-  EXPECT_TRUE(report->analysis.executability_ran);
+  EXPECT_EQ(report->analysis.executability.rules.size(),
+            report->program.rules().size());
 }
 
 TEST(LintTest, JsonRendering) {

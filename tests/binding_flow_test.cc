@@ -210,6 +210,36 @@ TEST_F(BindingFlowChainTest, DiagnosticsCarryTheNewCodes) {
   EXPECT_FALSE(bag.has_errors());
 }
 
+TEST(BindingFlowGoalTest, BareTaggedGoalIsAGoal) {
+  // `ans$` carries the tagged-goal prefix with an empty tag; every other
+  // goal test in the pipeline (LC006, the optimizer, dynamic relevance)
+  // treats it as a goal, so binding flow must too.
+  auto parsed = capability::ParseCatalog("source v(A, B) [ff] { (a1, b1) }");
+  ASSERT_TRUE(parsed.ok()) << parsed.status().message();
+  auto program = datalog::ParseProgram("ans$(Y) :- v(X, Y).");
+  ASSERT_TRUE(program.ok()) << program.status().message();
+  const planner::DomainMap domains;
+  const BindingFlowResult result =
+      AnalyzeBindingFlow(*program, parsed->views, domains);
+
+  ASSERT_EQ(result.channels.size(), 1u);
+  const ChannelVerdict& v = result.channels[0];
+  EXPECT_TRUE(v.reachable);
+  EXPECT_TRUE(v.relevant);
+  ASSERT_EQ(v.certificate.kind, PruningCertificate::Kind::kWitness);
+  ASSERT_EQ(v.certificate.steps.size(), 2u);
+  EXPECT_EQ(v.certificate.steps[0].predicate, "v");
+  EXPECT_EQ(v.certificate.steps[0].link, WitnessStep::Link::kRule);
+  EXPECT_EQ(v.certificate.steps[0].rule_index, 0u);
+  EXPECT_EQ(v.certificate.steps[1].predicate, "ans$");
+  EXPECT_EQ(v.certificate.steps[1].link, WitnessStep::Link::kGoal);
+  EXPECT_NE(analysis::RenderBindingFlowText(result).find(
+                "witness: v -(rule 0)-> ans$\n"),
+            std::string::npos);
+  EXPECT_TRUE(
+      VerifyCertificate(*program, parsed->views, domains, {}, v).ok());
+}
+
 TEST(BindingFlowAnalyzerTest, DeepPassIsOptIn) {
   auto parsed = capability::ParseCatalog(kChainCatalog);
   ASSERT_TRUE(parsed.ok());

@@ -262,18 +262,25 @@ TEST(CachingSourceTest, DoesNotCacheErrors) {
 }
 
 TEST(AccessLogTest, CountersAndTrace) {
+  auto dict = std::make_shared<ValueDictionary>();
+  auto v1 = std::make_shared<const SourceView>(
+      SourceView::MakeUnsafe("v1", {"Song", "Cd"}, "bf"));
+  auto v3 = std::make_shared<const SourceView>(
+      SourceView::MakeUnsafe("v3", {"Cd", "Artist", "Price"}, "bff"));
   AccessLog log;
   AccessRecord r1;
   r1.source = "v1";
-  r1.rendered_query = "v1(t1, C)";
+  r1.view = v1;
+  r1.query = SourceQuery::MakeUnsafe(*v1, dict, {{"Song", S("t1")}});
   r1.tuples_returned = 1;
   r1.new_tuples = 1;
-  r1.returned_rendered = {"<t1, c1>"};
-  r1.new_bindings = {"Cd = c1"};
+  r1.returned_ids = {{dict->Intern(S("t1")), dict->Intern(S("c1"))}};
+  r1.new_binding_ids = {{"Cd", dict->Intern(S("c1"))}};
   log.Record(r1);
   AccessRecord r2;
   r2.source = "v3";
-  r2.rendered_query = "v3(c9, A, P)";
+  r2.view = v3;
+  r2.query = SourceQuery::MakeUnsafe(*v3, dict, {{"Cd", S("c9")}});
   r2.tuples_returned = 0;
   log.Record(r2);
   AccessRecord r3 = r1;
@@ -293,6 +300,7 @@ TEST(AccessLogTest, CountersAndTrace) {
   std::string productive = log.ToTable(/*productive_only=*/true);
   EXPECT_NE(full.find("v3(c9, A, P)"), std::string::npos);
   EXPECT_EQ(productive.find("v3(c9, A, P)"), std::string::npos);
+  EXPECT_NE(productive.find("<t1, c1>"), std::string::npos);
   EXPECT_NE(productive.find("Cd = c1"), std::string::npos);
 
   log.Clear();
@@ -319,7 +327,6 @@ TEST(AccessLogTest, LazyRecordsRenderOnDemand) {
   EXPECT_EQ(dict->translation_count(), before);
   // ...and the strings render on demand.
   const AccessRecord& stored = lazy.records().front();
-  EXPECT_TRUE(stored.rendered_query.empty());
   EXPECT_EQ(stored.RenderedQuery(), "v1(t1, C)");
   EXPECT_EQ(stored.ReturnedRendered(),
             (std::vector<std::string>{"<t1, c1>"}));
@@ -327,13 +334,6 @@ TEST(AccessLogTest, LazyRecordsRenderOnDemand) {
   std::string table = lazy.ToTable(/*productive_only=*/false);
   EXPECT_NE(table.find("v1(t1, C)"), std::string::npos);
   EXPECT_NE(table.find("Cd = c1"), std::string::npos);
-
-  AccessLog eager;
-  eager.set_eager_render(true);
-  eager.Record(record);
-  EXPECT_EQ(eager.records().front().rendered_query, "v1(t1, C)");
-  EXPECT_EQ(eager.records().front().new_bindings,
-            (std::vector<std::string>{"Cd = c1"}));
 }
 
 }  // namespace

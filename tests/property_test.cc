@@ -12,6 +12,7 @@
 #include "exec/query_answerer.h"
 #include "paperdata/paper_examples.h"
 #include "planner/closure.h"
+#include "query_redraw.h"
 #include "workload/generator.h"
 
 namespace limcap {
@@ -59,10 +60,9 @@ std::vector<Scenario> AllScenarios() {
 
 class RandomInstanceProperties : public ::testing::TestWithParam<Scenario> {
  protected:
-  /// Draw k uses query seed seed + kRedrawStride·k (draw 0 is query_);
-  /// every scenario finds what its properties need well inside kMaxDraws.
-  static constexpr uint64_t kRedrawStride = 1000003;
-  static constexpr uint64_t kMaxDraws = 64;
+  /// Every scenario finds what its properties need well inside
+  /// kMaxDraws draws; draw 0 is query_.
+  static constexpr uint64_t kMaxDraws = testutil::kMaxDraws;
 
   void SetUp() override {
     CatalogSpec spec;
@@ -100,14 +100,7 @@ class RandomInstanceProperties : public ::testing::TestWithParam<Scenario> {
   std::optional<planner::Query> Redraw(
       const std::function<std::optional<planner::Query>(
           const planner::Query&)>& pick) const {
-    for (uint64_t k = 0; k < kMaxDraws; ++k) {
-      QuerySpec spec = query_spec_;
-      spec.seed += kRedrawStride * k;
-      auto query = GenerateQuery(instance_, spec);
-      if (!query.ok()) continue;
-      if (std::optional<planner::Query> picked = pick(*query)) return picked;
-    }
-    return std::nullopt;
+    return testutil::Redraw(instance_, query_spec_, pick);
   }
 
   GeneratedInstance instance_;

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -14,6 +15,7 @@
 #include "exec/fingerprint.h"
 #include "exec/query_answerer.h"
 #include "paperdata/paper_examples.h"
+#include "query_redraw.h"
 #include "workload/generator.h"
 
 namespace limcap {
@@ -28,7 +30,6 @@ using relational::Row;
 using workload::CatalogSpec;
 using workload::GeneratedInstance;
 using workload::GenerateInstance;
-using workload::GenerateQuery;
 using workload::QuerySpec;
 
 std::set<Row> Rows(const relational::Relation& relation) {
@@ -216,8 +217,10 @@ class StaticPruneProperty : public ::testing::TestWithParam<Scenario> {
     query_spec.seed = GetParam().seed * 104729 + 41;
     query_spec.num_connections = 2;
     query_spec.views_per_connection = 2;
-    auto query = GenerateQuery(instance_, query_spec);
-    if (!query.ok()) GTEST_SKIP() << "no valid query for this instance";
+    std::optional<planner::Query> query =
+        testutil::RedrawAny(instance_, query_spec);
+    ASSERT_TRUE(query.has_value())
+        << "no valid query in " << testutil::kMaxDraws << " draws";
     query_ = *query;
   }
 
