@@ -93,7 +93,7 @@ int main() {
   }
 
   std::printf("== relevant-view analysis for the bn connection ==\n%s\n",
-              bn_report->plan.relevance.ToString().c_str());
+              bn_report->plan->relevance.ToString().c_str());
   std::printf("== source-access trace for the bn query ==\n%s\n",
               bn_report->exec.log.ToTable(/*productive_only=*/false).c_str());
 

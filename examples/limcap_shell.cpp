@@ -89,12 +89,12 @@ int main(int argc, char** argv) {
 
   if (show_plan) {
     std::printf("== relevance analysis ==\n%s\n",
-                report->plan.relevance.ToString().c_str());
+                report->plan->relevance.ToString().c_str());
     std::printf("== optimized program (%zu rules; %zu removed as useless) "
                 "==\n%s\n",
-                report->plan.optimized_program.size(),
-                report->plan.removed_rules.size(),
-                report->plan.optimized_program.ToString().c_str());
+                report->plan->optimized_program.size(),
+                report->plan->removed_rules.size(),
+                report->plan->optimized_program.ToString().c_str());
   }
   if (show_trace) {
     std::printf("== source-access trace ==\n%s\n",

@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <set>
+#include <span>
 #include <thread>
 #include <unordered_map>
+#include <unordered_set>
 
 #include "common/hash.h"
 #include "datalog/safety.h"
@@ -51,35 +54,35 @@ bool Evaluator::DerivedBuffer::Add(RowView row) {
   return true;
 }
 
-Result<std::unique_ptr<Evaluator>> Evaluator::Create(const Program& program,
-                                                     FactStore* store,
-                                                     Mode mode) {
-  Options options;
-  options.mode = mode;
-  return Create(program, store, options);
-}
-
-Result<std::unique_ptr<Evaluator>> Evaluator::Create(const Program& program,
-                                                     FactStore* store,
-                                                     const Options& options) {
+Result<std::shared_ptr<const CompiledProgram>> Evaluator::Compile(
+    const Program& program, FactStore* store) {
   LIMCAP_RETURN_NOT_OK(CheckSafety(program));
   // Pre-declare every predicate's arity so facts arriving from outside
   // (source results) are arity-checked against the program instead of
   // silently defining a conflicting shape. This also interns every
   // predicate to its dense id.
   LIMCAP_ASSIGN_OR_RETURN(auto arities, program.PredicateArities());
-  for (const auto& [predicate, arity] : arities) {
-    LIMCAP_RETURN_NOT_OK(store->DeclareId(predicate, arity).status());
+  auto compiled = std::shared_ptr<CompiledProgram>(new CompiledProgram());
+  compiled->predicates_.reserve(arities.size());
+  for (auto& [predicate, arity] : arities) {
+    LIMCAP_ASSIGN_OR_RETURN(PredicateId id, store->DeclareId(predicate, arity));
+    compiled->predicates_.push_back({std::move(predicate), arity, id});
   }
-  auto evaluator =
-      std::unique_ptr<Evaluator>(new Evaluator(store, options));
+  std::unordered_set<ValueId> interned;
+  auto intern = [&](const Value& value) {
+    const ValueId id = store->dict().Intern(value);
+    if (interned.insert(id).second) {
+      compiled->constants_.emplace_back(value, id);
+    }
+    return id;
+  };
 
   for (const Rule& rule : program.rules()) {
     // Variable name -> dense index within the rule.
     std::unordered_map<std::string, uint32_t> var_ids;
     auto compile_atom = [&](const Atom& atom) {
-      CompiledAtom compiled;
-      compiled.pred = store->FindPredicate(atom.predicate);
+      CompiledProgram::CompiledAtom compiled_atom;
+      compiled_atom.pred = store->FindPredicate(atom.predicate);
       for (const Term& term : atom.terms) {
         CompiledTerm ct;
         if (term.is_variable()) {
@@ -91,11 +94,11 @@ Result<std::unique_ptr<Evaluator>> Evaluator::Create(const Program& program,
         } else {
           ct.is_var = false;
           ct.var = 0;
-          ct.constant = store->dict().Intern(term.constant());
+          ct.constant = intern(term.constant());
         }
-        compiled.terms.push_back(ct);
+        compiled_atom.terms.push_back(ct);
       }
-      return compiled;
+      return compiled_atom;
     };
 
     if (rule.is_fact()) {
@@ -103,54 +106,72 @@ Result<std::unique_ptr<Evaluator>> Evaluator::Create(const Program& program,
       IdRow row;
       row.reserve(rule.head.terms.size());
       for (const Term& term : rule.head.terms) {
-        row.push_back(store->dict().Intern(term.constant()));
+        row.push_back(intern(term.constant()));
       }
-      evaluator->ground_facts_.emplace_back(
+      compiled->ground_facts_.emplace_back(
           store->FindPredicate(rule.head.predicate), std::move(row));
       continue;
     }
 
-    CompiledRule compiled;
-    compiled.body.reserve(rule.body.size());
+    CompiledRule compiled_rule;
+    compiled_rule.body.reserve(rule.body.size());
     for (const Atom& atom : rule.body) {
-      compiled.body.push_back(compile_atom(atom));
+      compiled_rule.body.push_back(compile_atom(atom));
     }
-    compiled.head = compile_atom(rule.head);
-    compiled.num_vars = static_cast<uint32_t>(var_ids.size());
-    for (std::size_t d = 0; d <= compiled.body.size(); ++d) {
-      compiled.plans.push_back(
-          BuildPlan(compiled, GreedyOrder(compiled, d)));
-    }
-    evaluator->rules_.push_back(std::move(compiled));
+    compiled_rule.head = compile_atom(rule.head);
+    compiled_rule.num_vars = static_cast<uint32_t>(var_ids.size());
+    compiled->rules_.push_back(std::move(compiled_rule));
   }
+  compiled->BuildPlans();
+  return std::shared_ptr<const CompiledProgram>(std::move(compiled));
+}
 
-  // The set of body predicates drives snapshots and delta watermarks.
-  for (const CompiledRule& rule : evaluator->rules_) {
-    for (const CompiledAtom& atom : rule.body) {
-      evaluator->body_preds_.push_back(atom.pred);
-    }
+Result<std::unique_ptr<Evaluator>> Evaluator::Create(const Program& program,
+                                                     FactStore* store,
+                                                     Mode mode) {
+  Options options;
+  options.mode = mode;
+  return Create(program, store, options);
+}
+
+Result<std::unique_ptr<Evaluator>> Evaluator::Create(const Program& program,
+                                                     FactStore* store,
+                                                     const Options& options) {
+  LIMCAP_ASSIGN_OR_RETURN(auto compiled, Compile(program, store));
+  return Create(std::move(compiled), store, options);
+}
+
+Result<std::unique_ptr<Evaluator>> Evaluator::Create(
+    std::shared_ptr<const CompiledProgram> compiled, FactStore* store,
+    const Options& options) {
+  // Replay the compile-time declarations and interning in their order, so
+  // the store and its dictionary evolve exactly as if the program were
+  // compiled here. Where they hand out the recorded ids — always, for a
+  // fresh store whose dictionary holds what the compiling one held — the
+  // plans run as compiled.
+  bool same_ids = true;
+  for (const CompiledProgram::DeclaredPredicate& predicate :
+       compiled->predicates_) {
+    LIMCAP_ASSIGN_OR_RETURN(PredicateId id,
+                            store->DeclareId(predicate.name, predicate.arity));
+    if (id != predicate.id) same_ids = false;
   }
-  std::sort(evaluator->body_preds_.begin(), evaluator->body_preds_.end());
-  evaluator->body_preds_.erase(
-      std::unique(evaluator->body_preds_.begin(),
-                  evaluator->body_preds_.end()),
-      evaluator->body_preds_.end());
+  for (const auto& [value, id] : compiled->constants_) {
+    if (store->dict().Intern(value) != id) same_ids = false;
+  }
+  if (!same_ids) compiled = Rebind(*compiled, *store);
 
+  auto evaluator =
+      std::unique_ptr<Evaluator>(new Evaluator(store, options));
   // Pre-build every index the plans probe: after this, match-time probes
   // are read-only, which is what makes the parallel workers safe.
-  std::size_t max_vars = 0, max_keys = 0, max_head = 0;
-  for (const CompiledRule& rule : evaluator->rules_) {
-    max_vars = std::max<std::size_t>(max_vars, rule.num_vars);
-    max_head = std::max<std::size_t>(max_head, rule.head.terms.size());
-    for (const MatchPlan& plan : rule.plans) {
-      max_keys = std::max<std::size_t>(max_keys, plan.key_scratch_size);
-      for (const MatchStep& step : plan.steps) {
-        if (!step.probe_cols.empty()) {
-          store->EnsureIndex(step.pred, step.probe_cols);
-        }
-      }
-    }
+  for (const auto& [pred, columns] : compiled->probed_indexes_) {
+    store->EnsureIndex(pred, columns);
   }
+  const std::size_t max_vars = compiled->max_vars_;
+  const std::size_t max_keys = compiled->max_keys_;
+  const std::size_t max_head = compiled->max_head_;
+  evaluator->compiled_ = std::move(compiled);
 
   auto size_scratch = [&](MatchScratch& scratch) {
     scratch.binding.assign(max_vars, 0);
@@ -175,8 +196,83 @@ Result<std::unique_ptr<Evaluator>> Evaluator::Create(const Program& program,
   return evaluator;
 }
 
-std::vector<std::size_t> Evaluator::GreedyOrder(const CompiledRule& rule,
-                                                std::size_t first_atom) {
+std::shared_ptr<const CompiledProgram> Evaluator::Rebind(
+    const CompiledProgram& compiled, const FactStore& store) {
+  // Recorded id -> this store's id, through the names and values the
+  // tables recorded; then the atoms are re-keyed and the plans rebuilt.
+  std::unordered_map<PredicateId, PredicateId> pred_ids;
+  std::unordered_map<ValueId, ValueId> value_ids;
+  auto rebound = std::shared_ptr<CompiledProgram>(new CompiledProgram());
+  rebound->predicates_ = compiled.predicates_;
+  for (CompiledProgram::DeclaredPredicate& predicate : rebound->predicates_) {
+    const PredicateId id = store.FindPredicate(predicate.name);
+    pred_ids.emplace(predicate.id, id);
+    predicate.id = id;
+  }
+  rebound->constants_ = compiled.constants_;
+  for (auto& [value, id] : rebound->constants_) {
+    ValueId now = 0;
+    store.dict().Lookup(value, &now);
+    value_ids.emplace(id, now);
+    id = now;
+  }
+  auto rekey = [&](const CompiledProgram::CompiledAtom& atom) {
+    CompiledProgram::CompiledAtom out = atom;
+    out.pred = pred_ids.at(atom.pred);
+    for (CompiledTerm& term : out.terms) {
+      if (!term.is_var) term.constant = value_ids.at(term.constant);
+    }
+    return out;
+  };
+  for (const CompiledRule& rule : compiled.rules_) {
+    CompiledRule copy;
+    copy.head = rekey(rule.head);
+    for (const auto& atom : rule.body) copy.body.push_back(rekey(atom));
+    copy.num_vars = rule.num_vars;
+    rebound->rules_.push_back(std::move(copy));
+  }
+  for (const auto& [pred, row] : compiled.ground_facts_) {
+    IdRow copy;
+    for (ValueId id : row) copy.push_back(value_ids.at(id));
+    rebound->ground_facts_.emplace_back(pred_ids.at(pred), std::move(copy));
+  }
+  rebound->BuildPlans();
+  return rebound;
+}
+
+void CompiledProgram::BuildPlans() {
+  std::set<std::pair<PredicateId, std::vector<uint32_t>>> probed;
+  for (CompiledRule& rule : rules_) {
+    rule.plans.clear();
+    for (std::size_t d = 0; d <= rule.body.size(); ++d) {
+      rule.plans.push_back(BuildPlan(rule, GreedyOrder(rule, d)));
+    }
+    for (const CompiledAtom& atom : rule.body) {
+      body_preds_.push_back(atom.pred);
+    }
+    max_vars_ = std::max<std::size_t>(max_vars_, rule.num_vars);
+    max_head_ = std::max<std::size_t>(max_head_, rule.head.terms.size());
+    for (const MatchPlan& plan : rule.plans) {
+      max_keys_ = std::max<std::size_t>(max_keys_, plan.key_parts.size());
+      for (const MatchStep& step : plan.steps) {
+        if (step.num_keys == 0) continue;
+        auto columns = plan.probe_cols.begin() + step.key_offset;
+        std::pair<PredicateId, std::vector<uint32_t>> index(
+            step.pred, std::vector<uint32_t>(columns, columns + step.num_keys));
+        if (probed.insert(index).second) {
+          probed_indexes_.push_back(std::move(index));
+        }
+      }
+    }
+  }
+  // The set of body predicates drives snapshots and delta watermarks.
+  std::sort(body_preds_.begin(), body_preds_.end());
+  body_preds_.erase(std::unique(body_preds_.begin(), body_preds_.end()),
+                    body_preds_.end());
+}
+
+std::vector<std::size_t> CompiledProgram::GreedyOrder(
+    const CompiledRule& rule, std::size_t first_atom) {
   std::vector<std::size_t> order;
   std::vector<bool> used(rule.body.size(), false);
   std::vector<bool> bound(rule.num_vars, false);
@@ -214,16 +310,20 @@ std::vector<std::size_t> Evaluator::GreedyOrder(const CompiledRule& rule,
   return order;
 }
 
-Evaluator::MatchPlan Evaluator::BuildPlan(
+CompiledProgram::MatchPlan CompiledProgram::BuildPlan(
     const CompiledRule& rule, const std::vector<std::size_t>& order) {
   MatchPlan plan;
   std::vector<bool> bound(rule.num_vars, false);
-  uint32_t key_offset = 0;
+  auto size32 = [](const auto& items) {
+    return static_cast<uint32_t>(items.size());
+  };
   for (std::size_t k = 0; k < order.size(); ++k) {
     const CompiledAtom& atom = rule.body[order[k]];
     MatchStep step;
     step.pred = atom.pred;
-    step.key_offset = key_offset;
+    step.binds_begin = size32(plan.binds);
+    step.checks_begin = size32(plan.checks);
+    step.key_offset = size32(plan.key_parts);
     // Variables bound by earlier steps may serve as probe-key parts; a
     // variable first bound by this very atom may not (its value comes
     // from the row being examined), so repeats within the atom become
@@ -234,34 +334,35 @@ Evaluator::MatchPlan Evaluator::BuildPlan(
       const uint32_t pos32 = static_cast<uint32_t>(pos);
       if (!term.is_var) {
         if (k == 0) {
-          step.checks.push_back({pos32, true, term.constant, 0});
+          plan.checks.push_back({pos32, true, term.constant, 0});
         } else {
-          step.probe_cols.push_back(pos32);
-          step.key_parts.push_back({true, term.constant, 0});
+          plan.probe_cols.push_back(pos32);
+          plan.key_parts.push_back({true, term.constant, 0});
         }
       } else if (!bound[term.var]) {
         bound[term.var] = true;
-        step.binds.push_back({pos32, term.var});
+        plan.binds.push_back({pos32, term.var});
       } else if (k > 0 && bound_before[term.var]) {
-        step.probe_cols.push_back(pos32);
-        step.key_parts.push_back({false, 0, term.var});
+        plan.probe_cols.push_back(pos32);
+        plan.key_parts.push_back({false, 0, term.var});
       } else {
         // Step 0 scans; and repeated variables within one atom check
         // against the binding their first occurrence just wrote.
-        step.checks.push_back({pos32, false, 0, term.var});
+        plan.checks.push_back({pos32, false, 0, term.var});
       }
     }
-    key_offset += static_cast<uint32_t>(step.key_parts.size());
-    plan.steps.push_back(std::move(step));
+    step.num_binds = size32(plan.binds) - step.binds_begin;
+    step.num_checks = size32(plan.checks) - step.checks_begin;
+    step.num_keys = size32(plan.key_parts) - step.key_offset;
+    plan.steps.push_back(step);
   }
-  plan.key_scratch_size = key_offset;
   return plan;
 }
 
 void Evaluator::SeedFacts() {
   if (facts_seeded_) return;
   const uint64_t facts_before = stats_.facts_derived;
-  for (const auto& [pred, row] : ground_facts_) {
+  for (const auto& [pred, row] : compiled_->ground_facts_) {
     auto inserted = store_->InsertIds(pred, RowView(row));
     if (inserted.ok() && inserted.value()) ++stats_.facts_derived;
   }
@@ -294,7 +395,7 @@ void Evaluator::RefreshSnapshot() {
   if (processed_.size() < snapshot_.size()) {
     processed_.resize(snapshot_.size(), 0);
   }
-  for (PredicateId pred : body_preds_) {
+  for (PredicateId pred : compiled_->body_preds_) {
     snapshot_[pred] = store_->Count(pred);
   }
 }
@@ -316,6 +417,10 @@ void Evaluator::MatchStepRec(const CompiledRule& rule, const MatchPlan& plan,
   }
 
   const MatchStep& step = plan.steps[k];
+  const std::span<const CompiledProgram::Bind> binds(
+      plan.binds.data() + step.binds_begin, step.num_binds);
+  const std::span<const CompiledProgram::Check> checks(
+      plan.checks.data() + step.checks_begin, step.num_checks);
 
   // Applies one row: writes first-occurrence bindings, then verifies
   // equality checks. Binds-before-checks is correct even for repeated
@@ -323,10 +428,10 @@ void Evaluator::MatchStepRec(const CompiledRule& rule, const MatchPlan& plan,
   // wrote). Nothing to undo: bind sets are static per step, so stale
   // bindings are never read.
   auto apply_row = [&](RowView row) {
-    for (const MatchStep::Bind& bind : step.binds) {
+    for (const CompiledProgram::Bind& bind : binds) {
       scratch.binding[bind.var] = row[bind.pos];
     }
-    for (const MatchStep::Check& check : step.checks) {
+    for (const CompiledProgram::Check& check : checks) {
       const ValueId expect =
           check.is_const ? check.constant : scratch.binding[check.var];
       if (row[check.pos] != expect) return;
@@ -346,7 +451,7 @@ void Evaluator::MatchStepRec(const CompiledRule& rule, const MatchPlan& plan,
   }
 
   const std::size_t limit = snapshot_[step.pred];
-  if (step.probe_cols.empty()) {
+  if (step.num_keys == 0) {
     const FactSpan facts = store_->Facts(step.pred);
     const std::size_t bound = std::min(limit, facts.size());
     for (std::size_t pos = 0; pos < bound; ++pos) {
@@ -358,14 +463,17 @@ void Evaluator::MatchStepRec(const CompiledRule& rule, const MatchPlan& plan,
 
   // Assemble the probe key in this step's fixed scratch slot.
   ValueId* key = scratch.keys.data() + step.key_offset;
-  for (std::size_t i = 0; i < step.key_parts.size(); ++i) {
-    const MatchStep::KeyPart& part = step.key_parts[i];
+  for (uint32_t i = 0; i < step.num_keys; ++i) {
+    const CompiledProgram::KeyPart& part = plan.key_parts[step.key_offset + i];
     key[i] = part.is_const ? part.constant : scratch.binding[part.var];
   }
   ++scratch.probes;
   const FactSpan facts = store_->Facts(step.pred);
-  store_->ProbeEach(step.pred, step.probe_cols,
-                    RowView(key, step.key_parts.size()), limit,
+  store_->ProbeEach(step.pred,
+                    std::span<const uint32_t>(
+                        plan.probe_cols.data() + step.key_offset,
+                        step.num_keys),
+                    RowView(key, step.num_keys), limit,
                     [&](std::size_t pos) {
                       ++scratch.probe_rows;
                       apply_row(facts[pos]);
@@ -376,7 +484,7 @@ void Evaluator::MatchStepRec(const CompiledRule& rule, const MatchPlan& plan,
 void Evaluator::MatchActivation(const Activation& activation,
                                 MatchScratch& scratch,
                                 DerivedBuffer& buffer) const {
-  const CompiledRule& rule = rules_[activation.rule];
+  const CompiledRule& rule = compiled_->rules_[activation.rule];
   const MatchPlan& plan = rule.plans[activation.plan];
   buffer.Reset(rule.head.terms.size());
   auto sink = [&](RowView head_row) {
@@ -413,6 +521,7 @@ void Evaluator::AbsorbScratchStats(MatchScratch& scratch) {
 }
 
 Status Evaluator::RunNaive() {
+  const std::vector<CompiledRule>& rules = compiled_->rules_;
   while (true) {
     obs::ScopedSpan round_span(options_.tracer, "eval.round");
     ++stats_.iterations;
@@ -420,17 +529,17 @@ Status Evaluator::RunNaive() {
     stats_.round_activations.push_back(0);
     const uint64_t facts_before = stats_.facts_derived;
     bool derived_new = false;
-    for (uint32_t r = 0; r < rules_.size(); ++r) {
+    for (uint32_t r = 0; r < rules.size(); ++r) {
       ++stats_.rule_activations;
       ++stats_.round_activations.back();
       const Activation activation{
-          r, static_cast<uint32_t>(rules_[r].body.size()), 0,
-          rules_[r].body.empty()
+          r, static_cast<uint32_t>(rules[r].body.size()), 0,
+          rules[r].body.empty()
               ? 0
-              : snapshot_[rules_[r].plans.back().steps[0].pred]};
+              : snapshot_[rules[r].plans.back().steps[0].pred]};
       MatchActivation(activation, scratch_, buffer_);
       AbsorbScratchStats(scratch_);
-      LIMCAP_RETURN_NOT_OK(MergeBuffer(rules_[r], buffer_, &derived_new));
+      LIMCAP_RETURN_NOT_OK(MergeBuffer(rules[r], buffer_, &derived_new));
     }
     round_span.Counter("activations",
                        static_cast<double>(stats_.round_activations.back()));
@@ -441,10 +550,11 @@ Status Evaluator::RunNaive() {
 }
 
 Status Evaluator::RunSemiNaive() {
+  const std::vector<CompiledRule>& rules = compiled_->rules_;
   while (true) {
     RefreshSnapshot();
     bool has_delta = false;
-    for (PredicateId pred : body_preds_) {
+    for (PredicateId pred : compiled_->body_preds_) {
       if (processed_[pred] < snapshot_[pred]) {
         has_delta = true;
         break;
@@ -457,8 +567,8 @@ Status Evaluator::RunSemiNaive() {
     const uint64_t facts_before = stats_.facts_derived;
 
     bool derived_new = false;
-    for (uint32_t r = 0; r < rules_.size(); ++r) {
-      const CompiledRule& rule = rules_[r];
+    for (uint32_t r = 0; r < rules.size(); ++r) {
+      const CompiledRule& rule = rules[r];
       for (uint32_t d = 0; d < rule.body.size(); ++d) {
         const PredicateId pred = rule.body[d].pred;
         const std::size_t lo = processed_[pred];
@@ -471,7 +581,7 @@ Status Evaluator::RunSemiNaive() {
         LIMCAP_RETURN_NOT_OK(MergeBuffer(rule, buffer_, &derived_new));
       }
     }
-    for (PredicateId pred : body_preds_) {
+    for (PredicateId pred : compiled_->body_preds_) {
       processed_[pred] = std::max(processed_[pred], snapshot_[pred]);
     }
     round_span.Counter("activations",
@@ -482,12 +592,13 @@ Status Evaluator::RunSemiNaive() {
 }
 
 Status Evaluator::RunParallelSemiNaive() {
+  const std::vector<CompiledRule>& rules = compiled_->rules_;
   std::vector<Activation> activations;
   while (true) {
     RefreshSnapshot();
     activations.clear();
-    for (uint32_t r = 0; r < rules_.size(); ++r) {
-      const CompiledRule& rule = rules_[r];
+    for (uint32_t r = 0; r < rules.size(); ++r) {
+      const CompiledRule& rule = rules[r];
       for (uint32_t d = 0; d < rule.body.size(); ++d) {
         const PredicateId pred = rule.body[d].pred;
         const std::size_t lo = processed_[pred];
@@ -528,11 +639,11 @@ Status Evaluator::RunParallelSemiNaive() {
     // bit-identical stores.
     bool derived_new = false;
     for (std::size_t i = 0; i < activations.size(); ++i) {
-      LIMCAP_RETURN_NOT_OK(MergeBuffer(rules_[activations[i].rule],
+      LIMCAP_RETURN_NOT_OK(MergeBuffer(rules[activations[i].rule],
                                        activation_buffers_[i],
                                        &derived_new));
     }
-    for (PredicateId pred : body_preds_) {
+    for (PredicateId pred : compiled_->body_preds_) {
       processed_[pred] = std::max(processed_[pred], snapshot_[pred]);
     }
     round_span.Counter("activations",

@@ -24,12 +24,118 @@ struct EvalStats {
   uint64_t probe_rows = 0;       ///< rows enumerated from index chains
   uint64_t scan_rows = 0;        ///< rows enumerated by delta/full scans
   /// One-time bytes allocated for match scratch (bindings, probe keys,
-  /// head rows) at compile time; the match inner loop itself performs no
+  /// head rows) when the program is bound; the match inner loop performs no
   /// per-substitution heap allocation.
   uint64_t scratch_bytes = 0;
   uint64_t threads_used = 1;     ///< worker threads (1 in serial modes)
   /// Activations per fixpoint round, index = round number.
   std::vector<uint64_t> round_activations;
+};
+
+/// A Program compiled for the Evaluator (Evaluator::Compile): every rule's
+/// atoms over dense PredicateIds and ValueIds, and the match plans of
+/// every (rule, delta-atom) order. Immutable once built, so one compiled
+/// program may be bound by any number of evaluators — concurrently, each
+/// over its own store. The ids are those of the store it was compiled
+/// against; it records the predicate declarations and constant interning
+/// that produced them, in order, so a bind can replay them and check that
+/// a new store hands out the same ids (Evaluator::Create).
+class CompiledProgram {
+ private:
+  friend class Evaluator;
+
+  struct CompiledTerm {
+    bool is_var;
+    uint32_t var;      // valid when is_var
+    ValueId constant;  // valid when !is_var
+  };
+  struct CompiledAtom {
+    PredicateId pred = kNoPredicate;
+    std::vector<CompiledTerm> terms;
+  };
+
+  /// A step's row actions: a bind writes a first-occurrence variable
+  /// from the row, a check rejects rows that disagree with a constant or
+  /// an already-bound variable, and a key part fills one slot of the
+  /// probe key (its column is the matching entry of probe_cols).
+  struct Bind {
+    uint32_t pos;
+    uint32_t var;
+  };
+  struct Check {
+    uint32_t pos;
+    bool is_const;
+    ValueId constant;
+    uint32_t var;
+  };
+  struct KeyPart {
+    bool is_const;
+    ValueId constant;
+    uint32_t var;
+  };
+
+  /// One body atom of a match plan with its fixed runtime behavior: its
+  /// binds, checks and key parts, as ranges of the plan's arrays (no key
+  /// parts → scan). Which variables are bound at each step is static for
+  /// a fixed atom order, so none of this is decided per row.
+  struct MatchStep {
+    PredicateId pred = kNoPredicate;
+    uint32_t binds_begin = 0;
+    uint32_t num_binds = 0;
+    uint32_t checks_begin = 0;
+    uint32_t num_checks = 0;
+    /// The step's key parts and probe columns start here, which is also
+    /// the slot of its key in the key scratch.
+    uint32_t key_offset = 0;
+    uint32_t num_keys = 0;
+  };
+  /// The steps of one atom order, with every step's actions in four flat
+  /// arrays (a plan is a handful of allocations, however many steps).
+  struct MatchPlan {
+    std::vector<MatchStep> steps;
+    std::vector<Bind> binds;
+    std::vector<Check> checks;
+    std::vector<KeyPart> key_parts;
+    std::vector<uint32_t> probe_cols;
+  };
+  struct CompiledRule {
+    CompiledAtom head;
+    std::vector<CompiledAtom> body;
+    uint32_t num_vars = 0;
+    // plans[d] starts with body atom d (the delta atom); plans[body
+    // .size()] is the order used by naive evaluation.
+    std::vector<MatchPlan> plans;
+  };
+  struct DeclaredPredicate {
+    std::string name;
+    std::size_t arity;
+    PredicateId id;
+  };
+
+  CompiledProgram() = default;
+
+  static std::vector<std::size_t> GreedyOrder(const CompiledRule& rule,
+                                              std::size_t first_atom);
+  static MatchPlan BuildPlan(const CompiledRule& rule,
+                             const std::vector<std::size_t>& order);
+  /// Derives everything below `rules_`' atoms from them: each rule's match
+  /// plans, the body predicates, the probed indexes and the scratch sizes.
+  void BuildPlans();
+
+  /// Predicates in declaration order (sorted by name), with their ids.
+  std::vector<DeclaredPredicate> predicates_;
+  /// Distinct rule constants in interning order (per rule, body atoms
+  /// then head; facts in rule order), with their ids.
+  std::vector<std::pair<Value, ValueId>> constants_;
+  std::vector<CompiledRule> rules_;
+  std::vector<std::pair<PredicateId, IdRow>> ground_facts_;
+  /// Distinct body predicates, the domain of snapshots and watermarks.
+  std::vector<PredicateId> body_preds_;
+  /// Every (predicate, columns) index a plan probes, in first-use order.
+  std::vector<std::pair<PredicateId, std::vector<uint32_t>>> probed_indexes_;
+  std::size_t max_vars_ = 0;
+  std::size_t max_keys_ = 0;
+  std::size_t max_head_ = 0;
 };
 
 /// Bottom-up evaluator for positive (negation-free) Datalog, with three
@@ -47,9 +153,11 @@ struct EvalStats {
 ///   barrier, so the derived fact set AND its insertion order are
 ///   bit-identical to serial semi-naive.
 ///
-/// Rules compile to match plans: predicate names intern to dense
-/// PredicateIds, and for each (rule, delta-atom) order the bind/check/
-/// probe structure of every step is fixed at compile time. Matching runs
+/// Rules compile to match plans (CompiledProgram): predicate names intern
+/// to dense PredicateIds, and for each (rule, delta-atom) order the bind/
+/// check/probe structure of every step is fixed at compile time. An
+/// evaluator binds a compiled program to its store, so a program compiled
+/// once can be evaluated many times without recompiling. Matching runs
 /// against the fact store's flat arenas through the allocation-free
 /// ProbeEach cursor; derived facts are buffered per activation and merged
 /// at activation (serial) or round (parallel) boundaries, so the store is
@@ -79,11 +187,26 @@ class Evaluator {
     obs::Tracer* tracer = nullptr;
   };
 
-  /// Compiles `program` against `store` (interning rule constants and
-  /// predicate names, pre-declaring arities, and pre-building every index
-  /// the match plans probe). Fails if the program is unsafe (Proposition
-  /// 3.1's precondition) or has inconsistent predicate arities. `store`
-  /// must outlive the evaluator.
+  /// Compiles `program` against `store`: checks that it is safe
+  /// (Proposition 3.1's precondition) and uses every predicate with one
+  /// arity, declares every predicate into the store (so facts arriving
+  /// from outside, such as source results, are arity-checked against the
+  /// program), interns every rule constant, and builds the match plans.
+  static Result<std::shared_ptr<const CompiledProgram>> Compile(
+      const Program& program, FactStore* store);
+
+  /// Binds `compiled` to `store`: replays its predicate declarations and
+  /// constant interning in compile order, pre-builds every index the
+  /// plans probe, and sizes the match scratch (and, in the parallel mode,
+  /// the worker pool). A store that hands out other ids than the one
+  /// `compiled` was compiled against (its dictionary already held other
+  /// values) gets the same program compiled afresh over its own ids.
+  /// `store` must outlive the evaluator.
+  static Result<std::unique_ptr<Evaluator>> Create(
+      std::shared_ptr<const CompiledProgram> compiled, FactStore* store,
+      const Options& options);
+
+  /// Compile() against `store`, then bind.
   static Result<std::unique_ptr<Evaluator>> Create(
       const Program& program, FactStore* store,
       Mode mode = Mode::kSemiNaive);
@@ -97,59 +220,12 @@ class Evaluator {
   const EvalStats& stats() const { return stats_; }
 
  private:
-  struct CompiledTerm {
-    bool is_var;
-    uint32_t var;      // valid when is_var
-    ValueId constant;  // valid when !is_var
-  };
-  struct CompiledAtom {
-    PredicateId pred = kNoPredicate;
-    std::vector<CompiledTerm> terms;
-  };
+  using CompiledRule = CompiledProgram::CompiledRule;
+  using MatchPlan = CompiledProgram::MatchPlan;
+  using MatchStep = CompiledProgram::MatchStep;
+  using CompiledTerm = CompiledProgram::CompiledTerm;
 
-  /// One body atom of a match plan with its fixed runtime behavior:
-  /// `binds` writes first-occurrence variables from the row, `checks`
-  /// rejects rows that disagree with constants or already-bound
-  /// variables, and `probe_cols`/`key_parts` describe the index lookup
-  /// (empty probe_cols → scan). Which variables are bound at each step is
-  /// static for a fixed atom order, so none of this is decided per row.
-  struct MatchStep {
-    PredicateId pred = kNoPredicate;
-    struct Bind {
-      uint32_t pos;
-      uint32_t var;
-    };
-    struct Check {
-      uint32_t pos;
-      bool is_const;
-      ValueId constant;
-      uint32_t var;
-    };
-    struct KeyPart {
-      bool is_const;
-      ValueId constant;
-      uint32_t var;
-    };
-    std::vector<Bind> binds;
-    std::vector<Check> checks;
-    std::vector<uint32_t> probe_cols;
-    std::vector<KeyPart> key_parts;
-    uint32_t key_offset = 0;  // slot of this step's key in the key scratch
-  };
-  struct MatchPlan {
-    std::vector<MatchStep> steps;
-    uint32_t key_scratch_size = 0;
-  };
-  struct CompiledRule {
-    CompiledAtom head;
-    std::vector<CompiledAtom> body;
-    uint32_t num_vars = 0;
-    // plans[d] starts with body atom d (the delta atom); plans[body
-    // .size()] is the order used by naive evaluation.
-    std::vector<MatchPlan> plans;
-  };
-
-  /// Per-worker reusable buffers; sized once at compile so the match loop
+  /// Per-worker reusable buffers; sized once at bind so the match loop
   /// never allocates.
   struct MatchScratch {
     std::vector<ValueId> binding;
@@ -187,10 +263,10 @@ class Evaluator {
   Evaluator(FactStore* store, const Options& options)
       : store_(store), options_(options) {}
 
-  static std::vector<std::size_t> GreedyOrder(const CompiledRule& rule,
-                                              std::size_t first_atom);
-  static MatchPlan BuildPlan(const CompiledRule& rule,
-                             const std::vector<std::size_t>& order);
+  /// `compiled` over the ids `store` handed out when it replayed
+  /// `compiled`'s declarations and interning.
+  static std::shared_ptr<const CompiledProgram> Rebind(
+      const CompiledProgram& compiled, const FactStore& store);
 
   void SeedFacts();
   void RefreshSnapshot();
@@ -218,11 +294,8 @@ class Evaluator {
 
   FactStore* store_;
   Options options_;
-  std::vector<CompiledRule> rules_;
-  std::vector<std::pair<PredicateId, IdRow>> ground_facts_;
+  std::shared_ptr<const CompiledProgram> compiled_;
   bool facts_seeded_ = false;
-  /// Distinct body predicates, the domain of snapshots and watermarks.
-  std::vector<PredicateId> body_preds_;
   /// Per-predicate row-count snapshot taken at the top of each round; the
   /// limit for every non-delta atom range.
   std::vector<std::size_t> snapshot_;

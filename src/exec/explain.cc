@@ -148,9 +148,9 @@ std::string RenderExplainText(const ExplainRenderInputs& inputs) {
   out << inputs.preamble;
   Section(out, "Query");
   out << inputs.query->ToString() << "\n\n";
-  RenderRelevance(inputs.answer->plan, out);
-  RenderProgram(inputs.answer->plan, out);
-  RenderBindingFlow(inputs.answer->plan, *inputs.views, *inputs.domains,
+  RenderRelevance(*inputs.answer->plan, out);
+  RenderProgram(*inputs.answer->plan, out);
+  RenderBindingFlow(*inputs.answer->plan, *inputs.views, *inputs.domains,
                     inputs.goal_predicate, out);
   RenderPlanCache(*inputs.answer, inputs.cache_stats, out);
   RenderExecution(*inputs.answer, out);

@@ -176,14 +176,19 @@ Result<AnswerReport> QueryAnswerer::RunPipeline(
     }
   }
 
-  // The program to execute: the hit's compiled artifact, or the gate's
-  // output below.
+  // The program to execute, and its compiled form: the hit's, or the
+  // gate's output below, compiled once when it is published (`published`
+  // keeps it alive through execution, even if the cache evicts it).
+  // Null `compiled`: execution compiles the program itself.
   datalog::Program gated;
   const datalog::Program* program = &gated;
+  std::shared_ptr<const datalog::CompiledProgram> compiled;
+  std::shared_ptr<planner::CachedPlan> published;
   if (hit != nullptr) {
     report.plan = hit->plan;
     program = &hit->executable_program;
-    RecordPlanMetrics(report.plan, session_options.metrics);
+    compiled = hit->compiled;
+    RecordPlanMetrics(*report.plan, session_options.metrics);
     if (hit->analysis_ran) {
       report.analysis =
           *std::static_pointer_cast<const analysis::AnalysisResult>(
@@ -213,13 +218,15 @@ Result<AnswerReport> QueryAnswerer::RunPipeline(
     // One snapshot of the catalog serves both planning and the gate.
     const std::vector<capability::SourceView> views = catalog_->Views();
     LIMCAP_ASSIGN_OR_RETURN(
-        report.plan, planner::PlanQuery(query, views, domains_,
-                                        session_options.builder, seeded,
-                                        session_options.tracer));
-    RecordPlanMetrics(report.plan, session_options.metrics);
+        planner::PlanResult planned,
+        planner::PlanQuery(query, views, domains_, session_options.builder,
+                           seeded, session_options.tracer));
+    report.plan =
+        std::make_shared<const planner::PlanResult>(std::move(planned));
+    RecordPlanMetrics(*report.plan, session_options.metrics);
     const datalog::Program* chosen = full_program
-                                         ? &report.plan.full_program
-                                         : &report.plan.optimized_program;
+                                         ? &report.plan->full_program
+                                         : &report.plan->optimized_program;
     // Fold the cached tuples in as fact rules (Section 7.1). Facts only
     // add derivations, so the relevance analysis computed without them
     // stays sound; the gate runs after, because the facts seed domains
@@ -242,20 +249,29 @@ Result<AnswerReport> QueryAnswerer::RunPipeline(
                                                     session_options, &report));
     // Publish the artifact. kReject failures never reach this point (the
     // gate returned the error above), so rejections are re-diagnosed —
-    // and re-reported — on every attempt.
-    if (plan_cache != nullptr) {
-      auto entry = std::make_shared<planner::CachedPlan>();
-      entry->plan = report.plan;
-      entry->executable_program = gated;
-      entry->analysis_ran = report.analysis_ran;
+    // and re-reported — on every attempt. A capacity-0 cache would drop
+    // the entry, so none is built for it.
+    if (plan_cache != nullptr && plan_cache->capacity() > 0) {
+      published = std::make_shared<planner::CachedPlan>();
+      // Compiled against a fresh store over this answer's dictionary,
+      // which holds only the query's inputs so far: exactly the state the
+      // execution below, and every warm answer of this key, binds from.
+      datalog::FactStore fresh(session_options.session_dict);
+      LIMCAP_ASSIGN_OR_RETURN(published->compiled,
+                              datalog::Evaluator::Compile(gated, &fresh));
+      published->plan = report.plan;
+      published->executable_program = std::move(gated);
+      published->analysis_ran = report.analysis_ran;
       if (report.analysis_ran) {
-        entry->verdicts =
+        published->verdicts =
             std::make_shared<const analysis::AnalysisResult>(report.analysis);
       }
-      entry->catalog_fingerprint = report.cache.catalog_fingerprint;
-      entry->signature = std::move(signature);
+      published->catalog_fingerprint = report.cache.catalog_fingerprint;
+      published->signature = std::move(signature);
+      program = &published->executable_program;
+      compiled = published->compiled;
       uint64_t evictions_before = plan_cache->stats().evictions;
-      plan_cache->Insert(std::move(entry));
+      plan_cache->Insert(published);
       if (session_options.metrics != nullptr) {
         uint64_t evicted = plan_cache->stats().evictions - evictions_before;
         if (evicted > 0) {
@@ -277,8 +293,10 @@ Result<AnswerReport> QueryAnswerer::RunPipeline(
         report.analysis.binding_flow.PrunedChannels();
   }
   SourceDrivenEvaluator evaluator(catalog_, domains_, std::move(exec_options));
-  LIMCAP_ASSIGN_OR_RETURN(report.exec, evaluator.Execute(*program, query));
-  AnnotateDegradedConnections(report.plan.relevance.queryable_connections,
+  LIMCAP_ASSIGN_OR_RETURN(report.exec,
+                          evaluator.Execute(*program, std::move(compiled),
+                                            query));
+  AnnotateDegradedConnections(report.plan->relevance.queryable_connections,
                               &report.exec.fetch_report);
   return report;
 }

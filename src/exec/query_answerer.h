@@ -2,6 +2,7 @@
 #define LIMCAP_EXEC_QUERY_ANSWERER_H_
 
 #include <map>
+#include <memory>
 #include <string>
 #include <utility>
 
@@ -34,7 +35,9 @@ struct PlanCacheReport {
 /// Everything produced by answering one query end-to-end.
 struct AnswerReport {
   /// The plan: FIND_REL analysis, Π(Q, V), Π(Q, V_r), optimized program.
-  planner::PlanResult plan;
+  /// Built once by the answer that planned it and shared, never copied,
+  /// with its plan-cache entry and every answer that hits it.
+  std::shared_ptr<const planner::PlanResult> plan;
   /// The static verifier's findings, when options.static_analysis was
   /// not kOff (see `analysis_ran`). Under kPrune, `executability` names
   /// the rules that were dropped before execution. On a plan-cache hit
@@ -129,7 +132,7 @@ Result<datalog::Program> ApplyStaticAnalysisGate(
 /// connection's ToString() to the relation of answers that connection
 /// contributed. `connections` must be the list the program was built
 /// from — for QueryAnswerer::Answer that is
-/// report.plan.relevance.queryable_connections.
+/// report.plan->relevance.queryable_connections.
 Result<std::map<std::string, relational::Relation>> PerConnectionAnswers(
     const ExecResult& exec,
     const std::vector<planner::Connection>& connections,

@@ -78,6 +78,13 @@ struct DomainTracker {
 
 Result<ExecResult> SourceDrivenEvaluator::Execute(
     const datalog::Program& program, const planner::Query& query) {
+  return Execute(program, nullptr, query);
+}
+
+Result<ExecResult> SourceDrivenEvaluator::Execute(
+    const datalog::Program& program,
+    std::shared_ptr<const datalog::CompiledProgram> compiled,
+    const planner::Query& query) {
   obs::ScopedSpan exec_span(options_.tracer, "exec");
   ExecResult result;
   if (options_.session_dict != nullptr) {
@@ -92,7 +99,11 @@ Result<ExecResult> SourceDrivenEvaluator::Execute(
   eval_options.tracer = options_.tracer;
   LIMCAP_ASSIGN_OR_RETURN(
       auto evaluator,
-      datalog::Evaluator::Create(program, &result.store, eval_options));
+      compiled != nullptr
+          ? datalog::Evaluator::Create(std::move(compiled), &result.store,
+                                       eval_options)
+          : datalog::Evaluator::Create(program, &result.store, eval_options));
+  // The store is fresh, so its predicates are exactly the program's.
   datalog::FactStore& store = result.store;
 
   // Tracks the domain values already seen, for the "New Binding(s)"
@@ -132,7 +143,6 @@ Result<ExecResult> SourceDrivenEvaluator::Execute(
   const std::set<std::pair<std::string, std::size_t>> pruned(
       options_.pruned_channels.begin(), options_.pruned_channels.end());
   std::size_t pruned_specs = 0;
-  std::set<std::string> mentioned = program.AllPredicates();
   std::vector<FetchSpec> specs;
   // The specs' asked-sets (FetchSpec::asked): open-addressing row sets
   // over flat id arenas.
@@ -144,7 +154,7 @@ Result<ExecResult> SourceDrivenEvaluator::Execute(
   std::vector<analysis::DynamicChannelInfo> channels;
   std::vector<std::size_t> spec_to_channel;
   for (const std::string& name : catalog_->ViewNames()) {
-    if (mentioned.count(name) == 0) continue;
+    if (store.FindPredicate(name) == kNoPredicate) continue;
     LIMCAP_ASSIGN_OR_RETURN(Source * source, catalog_->Find(name));
     const capability::SourceView& view = source->view();
     auto shared_view = std::make_shared<const capability::SourceView>(view);

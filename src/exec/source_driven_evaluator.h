@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <limits>
 #include <map>
+#include <memory>
 #include <span>
 #include <string>
 #include <utility>
@@ -206,6 +207,14 @@ class SourceDrivenEvaluator {
   /// schema.
   Result<ExecResult> Execute(const datalog::Program& program,
                              const planner::Query& query);
+
+  /// The same, evaluating `compiled` — `program` compiled by
+  /// datalog::Evaluator::Compile, e.g. a plan-cache entry's — instead of
+  /// compiling `program` afresh. Null compiles, as the overload above.
+  Result<ExecResult> Execute(
+      const datalog::Program& program,
+      std::shared_ptr<const datalog::CompiledProgram> compiled,
+      const planner::Query& query);
 
  private:
   const capability::SourceCatalog* catalog_;

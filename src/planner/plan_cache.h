@@ -11,6 +11,7 @@
 
 #include "capability/source_catalog.h"
 #include "common/result.h"
+#include "datalog/evaluator.h"
 #include "planner/domain_map.h"
 #include "planner/program_builder.h"
 #include "planner/program_optimizer.h"
@@ -65,17 +66,26 @@ uint64_t DomainMapFingerprint(const DomainMap& domains);
 /// A compiled, reusable query plan: everything Mediator::Answer computes
 /// between parse and execution, keyed by (catalog fingerprint, query
 /// signature). Entries are immutable once inserted and shared by
-/// reference — a warm query copies the artifact into its AnswerReport and
-/// executes, skipping FIND_REL, program construction, Section 6
-/// optimization, and the static-analysis gate.
+/// reference — a warm query shares the plan with its AnswerReport, binds
+/// the compiled program to its own fact store, and executes, skipping
+/// FIND_REL, program construction, Section 6 optimization, the
+/// static-analysis gate and Datalog compilation.
 struct CachedPlan {
   /// The full planning artifact (relevance closure, Π(Q,V), Π(Q,V_r),
-  /// optimized program, removed rules).
-  PlanResult plan;
+  /// optimized program, removed rules), shared with every answer that
+  /// planned or hit it.
+  std::shared_ptr<const PlanResult> plan;
   /// The program execution actually runs: the optimized program after the
-  /// static-analysis gate (equal to plan.optimized_program when the gate
+  /// static-analysis gate (equal to plan->optimized_program when the gate
   /// was off or non-pruning).
   datalog::Program executable_program;
+  /// executable_program compiled against a fresh store over the session
+  /// dictionary of the answer that planned it. Every later answer of the
+  /// same key interns the same inputs in the same order into a fresh
+  /// dictionary, so binding it hands out the compiled ids unchanged (a
+  /// caller-supplied dictionary already holding other values makes the
+  /// bind compile afresh for that answer's store).
+  std::shared_ptr<const datalog::CompiledProgram> compiled;
   /// The static verifier's verdicts, opaque to this layer (the exec layer
   /// stores its analysis::AnalysisResult here; planner cannot name that
   /// type without a dependency cycle). Null when analysis never ran.

@@ -273,7 +273,7 @@ TEST(BindingFlowPaperTest, Example21EveryChannelIsRelevant) {
     EXPECT_TRUE(verdict.reachable) << verdict.view;
     EXPECT_TRUE(verdict.relevant) << verdict.view;
     Status status =
-        VerifyCertificate(report->plan.optimized_program, example.views,
+        VerifyCertificate(report->plan->optimized_program, example.views,
                           example.domains, BindingFlowOptions(), verdict);
     EXPECT_TRUE(status.ok()) << verdict.view << ": " << status.message();
   }

@@ -97,7 +97,7 @@ TEST(CacheFacadeTest, CacheUnlocksDroppedConnection) {
   auto cold = answerer.Answer(example.query);
   ASSERT_TRUE(cold.ok());
   EXPECT_TRUE(cold->exec.answer.empty());
-  EXPECT_EQ(cold->plan.optimized_program.size(), 0u);
+  EXPECT_EQ(cold->plan->optimized_program.size(), 0u);
 
   Relation cached(views[2].schema());  // v3(E, F, A)
   cached.InsertUnsafe({S("e1"), S("f1"), S("a1")});

@@ -165,7 +165,7 @@ TEST(QueryAnswererTest, Example21EndToEnd) {
   EXPECT_EQ(Rows(report->exec.answer),
             (std::set<Row>{{S("$15")}, {S("$13")}, {S("$10")}}));
   // All four views are relevant in Example 2.1, so no trimming happens.
-  EXPECT_EQ(report->plan.relevance.relevant_union.size(), 4u);
+  EXPECT_EQ(report->plan->relevance.relevant_union.size(), 4u);
   // End-to-end interning: the answer relation shares the session
   // dictionary and no value was translated after source ingest.
   ASSERT_NE(report->exec.session_dict, nullptr);
@@ -421,7 +421,7 @@ TEST(ExecTest, NonQueryableQueryYieldsEmptyAnswer) {
   ASSERT_TRUE(report.ok()) << report.status();
   EXPECT_TRUE(report->exec.answer.empty());
   EXPECT_EQ(report->exec.log.total_queries(), 0u);
-  EXPECT_EQ(report->plan.optimized_program.size(), 0u);
+  EXPECT_EQ(report->plan->optimized_program.size(), 0u);
 }
 
 }  // namespace

@@ -5,7 +5,10 @@
 #include <algorithm>
 #include <memory>
 #include <random>
+#include <string>
 #include <thread>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "capability/catalog_fingerprint.h"
@@ -470,6 +473,124 @@ TEST(PlanCacheTest, DistinctGateModesDoNotShareEntries) {
   }
   EXPECT_EQ(cache.stats().misses, 4u);
   EXPECT_EQ(cache.stats().hits, 0u);
+}
+
+/// A caller-supplied session dictionary that already holds `count` values
+/// no query mentions.
+ValueDictionaryPtr PrepopulatedDictionary(int count) {
+  auto dict = std::make_shared<ValueDictionary>();
+  for (int i = 0; i < count; ++i) {
+    dict->Intern(Value::String("unrelated" + std::to_string(i)));
+  }
+  return dict;
+}
+
+TEST(PlanCacheTest, WarmAnswerOnPrepopulatedDictionaryMatchesCold) {
+  // An entry's program is compiled against the dictionary of the answer
+  // that planned it. A warm answer whose dictionary hands out other ids
+  // recompiles it for its own store at bind time, and answers exactly as
+  // a cold answer over an equal dictionary does — in both directions.
+  for (int example_index = 0; example_index < 4; ++example_index) {
+    for (const auto& [config_name, base_options] : EvaluatorConfigs()) {
+      for (const auto& [planned_with, warm_with] :
+           {std::pair{0, 11}, std::pair{11, 0}, std::pair{5, 11}}) {
+        SCOPED_TRACE("example " + std::to_string(example_index) +
+                     " config " + config_name + " planned over " +
+                     std::to_string(planned_with) + " values, warm over " +
+                     std::to_string(warm_with));
+        PaperExample example = MakeExample(example_index);
+        QueryAnswerer answerer(&example.catalog, example.domains);
+        PlanCache cache;
+        ExecOptions options = base_options;
+        options.plan_cache = &cache;
+        options.session_dict = PrepopulatedDictionary(planned_with);
+        auto planned = answerer.Answer(example.query, options);
+        ASSERT_TRUE(planned.ok()) << planned.status();
+        ASSERT_FALSE(planned->cache.hit);
+
+        options.session_dict = PrepopulatedDictionary(warm_with);
+        auto warm = answerer.Answer(example.query, options);
+        ASSERT_TRUE(warm.ok()) << warm.status();
+        EXPECT_TRUE(warm->cache.hit);
+
+        ExecOptions uncached = base_options;
+        uncached.session_dict = PrepopulatedDictionary(warm_with);
+        auto cold = answerer.Answer(example.query, uncached);
+        ASSERT_TRUE(cold.ok()) << cold.status();
+        EXPECT_EQ(OrderedFingerprint(warm->exec),
+                  OrderedFingerprint(cold->exec));
+        EXPECT_EQ(warm->exec.post_ingest_translations, 0u);
+      }
+    }
+  }
+}
+
+TEST(PlanCacheTest, ConcurrentWarmAnswersShareOneCompiledProgram) {
+  // 8 threads answer the paper examples warm through one cache at once,
+  // so every entry's compiled program is bound by several executions
+  // concurrently, under every evaluator configuration. Each answer must
+  // equal the serial one.
+  constexpr int kThreads = 8;
+  constexpr int kRounds = 3;
+  std::vector<PaperExample> examples;
+  for (int i = 0; i < 4; ++i) examples.push_back(MakeExample(i));
+  std::vector<std::unique_ptr<QueryAnswerer>> answerers;
+  for (PaperExample& example : examples) {
+    answerers.push_back(
+        std::make_unique<QueryAnswerer>(&example.catalog, example.domains));
+  }
+  const auto configs = EvaluatorConfigs();
+  PlanCache cache;
+  // serial[example][config], each from a warm answer.
+  std::vector<std::vector<std::string>> serial(examples.size());
+  for (std::size_t e = 0; e < examples.size(); ++e) {
+    for (const auto& [config_name, base_options] : configs) {
+      ExecOptions options = base_options;
+      options.plan_cache = &cache;
+      auto report = answerers[e]->Answer(examples[e].query, options);
+      ASSERT_TRUE(report.ok()) << report.status();
+      serial[e].push_back(OrderedFingerprint(report->exec));
+    }
+  }
+  const PlanCache::Stats before = cache.stats();
+  ASSERT_EQ(before.inserts, examples.size());
+
+  // got[thread] = (example, config, fingerprint) per answer.
+  std::vector<std::vector<std::tuple<std::size_t, std::size_t, std::string>>>
+      got(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int round = 0; round < kRounds; ++round) {
+        for (std::size_t i = 0; i < examples.size() * configs.size(); ++i) {
+          const std::size_t slot = (i + t) % (examples.size() * configs.size());
+          const std::size_t e = slot % examples.size();
+          const std::size_t c = slot / examples.size();
+          ExecOptions options = configs[c].second;
+          options.plan_cache = &cache;
+          auto report = answerers[e]->Answer(examples[e].query, options);
+          got[t].emplace_back(e, c,
+                              report.ok() ? OrderedFingerprint(report->exec)
+                                          : report.status().ToString());
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+
+  std::size_t answers = 0;
+  for (const auto& per_thread : got) {
+    for (const auto& [e, c, fingerprint] : per_thread) {
+      EXPECT_EQ(fingerprint, serial[e][c])
+          << "example " << e << " config " << configs[c].first;
+      ++answers;
+    }
+  }
+  EXPECT_EQ(answers, std::size_t{kThreads} * kRounds * examples.size() *
+                         configs.size());
+  const PlanCache::Stats after = cache.stats();
+  EXPECT_EQ(after.inserts, before.inserts);
+  EXPECT_EQ(after.hits - before.hits, answers);
 }
 
 // ---------------------------------------------------------------------------

@@ -363,11 +363,11 @@ TEST_P(RandomInstanceProperties, BindingFlowCertificatesVerify) {
   auto report = answerer.AnswerUnoptimized(query_);
   ASSERT_TRUE(report.ok()) << report.status();
   analysis::BindingFlowResult flow = analysis::AnalyzeBindingFlow(
-      report->plan.full_program, instance_.catalog.Views(),
+      report->plan->full_program, instance_.catalog.Views(),
       instance_.domains);
   for (const analysis::ChannelVerdict& verdict : flow.channels) {
     Status status = analysis::VerifyCertificate(
-        report->plan.full_program, instance_.catalog.Views(),
+        report->plan->full_program, instance_.catalog.Views(),
         instance_.domains, analysis::BindingFlowOptions(), verdict);
     EXPECT_TRUE(status.ok())
         << verdict.view << "[" << verdict.template_index
@@ -383,7 +383,7 @@ TEST_P(RandomInstanceProperties, IrrelevantChannelsAreEvaluationInert) {
   auto baseline = answerer.AnswerUnoptimized(query_);
   ASSERT_TRUE(baseline.ok()) << baseline.status();
   analysis::BindingFlowResult flow = analysis::AnalyzeBindingFlow(
-      baseline->plan.full_program, instance_.catalog.Views(),
+      baseline->plan->full_program, instance_.catalog.Views(),
       instance_.domains);
   const auto pruned_channels = flow.PrunedChannels();
 

@@ -30,7 +30,7 @@ TEST(PerConnectionAnswersTest, Example21Provenance) {
   EXPECT_EQ(report->exec.answer.size(), 3u);  // provenance adds no answers
 
   auto per_connection = exec::PerConnectionAnswers(
-      report->exec, report->plan.relevance.queryable_connections,
+      report->exec, report->plan->relevance.queryable_connections,
       example.query, options.builder);
   ASSERT_TRUE(per_connection.ok()) << per_connection.status();
   ASSERT_EQ(per_connection->size(), 4u);
@@ -57,7 +57,7 @@ TEST(PerConnectionAnswersTest, DisabledByDefault) {
   auto report = answerer.Answer(example.query);
   ASSERT_TRUE(report.ok());
   auto per_connection = exec::PerConnectionAnswers(
-      report->exec, report->plan.relevance.queryable_connections,
+      report->exec, report->plan->relevance.queryable_connections,
       example.query);
   // Without the option the tagged predicates never exist: all empty.
   ASSERT_TRUE(per_connection.ok());

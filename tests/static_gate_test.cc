@@ -336,7 +336,7 @@ TEST_P(PruneSoundness, PrunedRulesAreEvaluationInert) {
   // analyzer called dead derived nothing in the ungated run.
   const analysis::ExecutabilityResult& verdicts =
       pruned->analysis.executability;
-  const datalog::Program& program = baseline->plan.full_program;
+  const datalog::Program& program = baseline->plan->full_program;
   std::set<std::string> heads;
   for (const datalog::Rule& rule : program.rules()) {
     heads.insert(rule.head.predicate);

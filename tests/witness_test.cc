@@ -1,12 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 
 #include "capability/in_memory_source.h"
 #include "exec/oracle.h"
 #include "exec/query_answerer.h"
 #include "paperdata/paper_examples.h"
 #include "planner/witness.h"
+#include "query_redraw.h"
 #include "workload/generator.h"
 
 namespace limcap::planner {
@@ -89,8 +91,23 @@ TEST_P(WitnessOnRandomConnections, Theorem42Holds) {
   query_spec.num_connections = 2;
   query_spec.views_per_connection = 3;
   query_spec.seed = GetParam() * 7 + 3;
-  auto query = workload::GenerateQuery(instance, query_spec);
-  if (!query.ok()) GTEST_SKIP();
+  // Theorem 4.2 speaks about dependent connections: draw until a query
+  // has one.
+  auto query = testutil::Redraw(
+      instance, query_spec,
+      [&](const planner::Query& drawn) -> std::optional<planner::Query> {
+        for (const Connection& connection : drawn.connections()) {
+          if (ConstructNonIndependenceWitness(drawn, connection,
+                                              instance.views)
+                  .ok()) {
+            return drawn;
+          }
+        }
+        return std::nullopt;
+      });
+  ASSERT_TRUE(query.has_value())
+      << "no query with a dependent connection in "
+      << testutil::kMaxDraws << " draws";
 
   bool found_dependent = false;
   for (const Connection& connection : query->connections()) {
@@ -117,9 +134,7 @@ TEST_P(WitnessOnRandomConnections, Theorem42Holds) {
     EXPECT_LT(obtainable->exec.answer.size(), complete->size())
         << connection.ToString();
   }
-  if (!found_dependent) {
-    GTEST_SKIP() << "all generated connections were independent";
-  }
+  EXPECT_TRUE(found_dependent);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, WitnessOnRandomConnections,
