@@ -53,24 +53,17 @@ void RunTransitiveClosure(benchmark::State& state,
   state.counters["activations"] =
       static_cast<double>(last_stats.rule_activations);
   state.counters["rounds"] = static_cast<double>(last_stats.iterations);
-  state.counters["eval_threads"] =
-      static_cast<double>(last_stats.threads_used);
 }
 
 void BM_TransitiveClosureNaive(benchmark::State& state) {
-  RunTransitiveClosure(state, {Evaluator::Mode::kNaive, 0});
+  RunTransitiveClosure(state, {Evaluator::Mode::kNaive});
 }
 void BM_TransitiveClosureSemiNaive(benchmark::State& state) {
-  RunTransitiveClosure(state, {Evaluator::Mode::kSemiNaive, 0});
-}
-void BM_TransitiveClosureParallel(benchmark::State& state) {
-  RunTransitiveClosure(state, {Evaluator::Mode::kParallelSemiNaive, 4});
+  RunTransitiveClosure(state, {Evaluator::Mode::kSemiNaive});
 }
 BENCHMARK(BM_TransitiveClosureNaive)->Arg(32)->Arg(64)->Arg(128)->Unit(
     benchmark::kMillisecond);
 BENCHMARK(BM_TransitiveClosureSemiNaive)->Arg(32)->Arg(64)->Arg(128)->Unit(
-    benchmark::kMillisecond);
-BENCHMARK(BM_TransitiveClosureParallel)->Arg(32)->Arg(64)->Arg(128)->Unit(
     benchmark::kMillisecond);
 
 /// Evaluates a generated Π(Q, V) with the EDB fully materialized (the

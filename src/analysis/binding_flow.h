@@ -27,8 +27,8 @@ namespace limcap::analysis {
 /// the query's input constants; kVariable — facts may carry values only
 /// known at runtime (source-returned). The forward pass joins upward
 /// only, so the fixpoint is a sound over-approximation of every
-/// source-driven evaluation (serial, parallel-eval, concurrent-fetch —
-/// they all derive the same fact set).
+/// source-driven evaluation (serial or concurrent fetch — both derive
+/// the same fact set).
 enum class AbstractBinding { kBottom = 0, kConstant = 1, kVariable = 2 };
 
 /// "bottom" / "constant" / "variable".

@@ -13,8 +13,8 @@ namespace limcap {
 /// A fixed pool of worker threads driven in lockstep "parallel regions":
 /// RunOnAll(fn) wakes every worker, runs fn(worker_index) on each, and
 /// blocks the caller until all workers finish. Workers idle between
-/// regions, so per-round dispatch (the semi-naive loop runs one region per
-/// fixpoint round) costs two condition-variable sweeps instead of thread
+/// regions, so per-batch dispatch (the fetch scheduler runs one region per
+/// concurrent batch) costs two condition-variable sweeps instead of thread
 /// spawns.
 class ThreadPool {
  public:

@@ -31,8 +31,7 @@ using ValueId = uint32_t;
 /// exec::ExecResult::post_ingest_translations. Counters are relaxed
 /// atomics so read-side decodes may race harmlessly with each other, but
 /// Intern itself is NOT thread-safe — interning is confined to the
-/// session's driver thread (the parallel evaluator's workers only ever
-/// compare ids).
+/// session's driver thread.
 class ValueDictionary {
  public:
   ValueDictionary() = default;

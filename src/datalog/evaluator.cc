@@ -1,10 +1,8 @@
 #include "datalog/evaluator.h"
 
 #include <algorithm>
-#include <atomic>
 #include <set>
 #include <span>
-#include <thread>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -163,36 +161,19 @@ Result<std::unique_ptr<Evaluator>> Evaluator::Create(
 
   auto evaluator =
       std::unique_ptr<Evaluator>(new Evaluator(store, options));
-  // Pre-build every index the plans probe: after this, match-time probes
-  // are read-only, which is what makes the parallel workers safe.
+  // Pre-build every index the plans probe: a probe without its index
+  // falls back to scanning the whole range.
   for (const auto& [pred, columns] : compiled->probed_indexes_) {
     store->EnsureIndex(pred, columns);
   }
-  const std::size_t max_vars = compiled->max_vars_;
-  const std::size_t max_keys = compiled->max_keys_;
-  const std::size_t max_head = compiled->max_head_;
+  MatchScratch& scratch = evaluator->scratch_;
+  scratch.binding.assign(compiled->max_vars_, 0);
+  scratch.keys.assign(compiled->max_keys_, 0);
+  scratch.head_row.assign(compiled->max_head_, 0);
+  evaluator->stats_.scratch_bytes =
+      (compiled->max_vars_ + compiled->max_keys_ + compiled->max_head_) *
+      sizeof(ValueId);
   evaluator->compiled_ = std::move(compiled);
-
-  auto size_scratch = [&](MatchScratch& scratch) {
-    scratch.binding.assign(max_vars, 0);
-    scratch.keys.assign(max_keys, 0);
-    scratch.head_row.assign(max_head, 0);
-    evaluator->stats_.scratch_bytes +=
-        (max_vars + max_keys + max_head) * sizeof(ValueId);
-  };
-  size_scratch(evaluator->scratch_);
-  if (options.mode == Mode::kParallelSemiNaive) {
-    std::size_t threads = options.num_threads != 0
-                              ? options.num_threads
-                              : std::thread::hardware_concurrency();
-    threads = std::max<std::size_t>(1, threads);
-    evaluator->pool_ = std::make_unique<ThreadPool>(threads);
-    evaluator->worker_scratch_.resize(threads);
-    for (MatchScratch& scratch : evaluator->worker_scratch_) {
-      size_scratch(scratch);
-    }
-    evaluator->stats_.threads_used = threads;
-  }
   return evaluator;
 }
 
@@ -384,8 +365,6 @@ Status Evaluator::Run() {
       return RunNaive();
     case Mode::kSemiNaive:
       return RunSemiNaive();
-    case Mode::kParallelSemiNaive:
-      return RunParallelSemiNaive();
   }
   return Status::InvalidArgument("unknown evaluation mode");
 }
@@ -403,16 +382,15 @@ void Evaluator::RefreshSnapshot() {
 template <typename Sink>
 void Evaluator::MatchStepRec(const CompiledRule& rule, const MatchPlan& plan,
                              std::size_t k, std::size_t scan_lo,
-                             std::size_t scan_hi, MatchScratch& scratch,
-                             Sink& sink) const {
+                             std::size_t scan_hi, Sink& sink) {
   if (k == plan.steps.size()) {
-    ++scratch.matches;
+    ++stats_.matches;
     for (std::size_t i = 0; i < rule.head.terms.size(); ++i) {
       const CompiledTerm& term = rule.head.terms[i];
-      scratch.head_row[i] =
-          term.is_var ? scratch.binding[term.var] : term.constant;
+      scratch_.head_row[i] =
+          term.is_var ? scratch_.binding[term.var] : term.constant;
     }
-    sink(RowView(scratch.head_row.data(), rule.head.terms.size()));
+    sink(RowView(scratch_.head_row.data(), rule.head.terms.size()));
     return;
   }
 
@@ -429,14 +407,14 @@ void Evaluator::MatchStepRec(const CompiledRule& rule, const MatchPlan& plan,
   // bindings are never read.
   auto apply_row = [&](RowView row) {
     for (const CompiledProgram::Bind& bind : binds) {
-      scratch.binding[bind.var] = row[bind.pos];
+      scratch_.binding[bind.var] = row[bind.pos];
     }
     for (const CompiledProgram::Check& check : checks) {
       const ValueId expect =
-          check.is_const ? check.constant : scratch.binding[check.var];
+          check.is_const ? check.constant : scratch_.binding[check.var];
       if (row[check.pos] != expect) return;
     }
-    MatchStepRec(rule, plan, k + 1, scan_lo, scan_hi, scratch, sink);
+    MatchStepRec(rule, plan, k + 1, scan_lo, scan_hi, sink);
   };
 
   if (k == 0) {
@@ -444,7 +422,7 @@ void Evaluator::MatchStepRec(const CompiledRule& rule, const MatchPlan& plan,
     // full snapshot extent for the naive plan.
     const FactSpan facts = store_->Facts(step.pred);
     for (std::size_t pos = scan_lo; pos < scan_hi; ++pos) {
-      ++scratch.scan_rows;
+      ++stats_.scan_rows;
       apply_row(facts[pos]);
     }
     return;
@@ -455,19 +433,19 @@ void Evaluator::MatchStepRec(const CompiledRule& rule, const MatchPlan& plan,
     const FactSpan facts = store_->Facts(step.pred);
     const std::size_t bound = std::min(limit, facts.size());
     for (std::size_t pos = 0; pos < bound; ++pos) {
-      ++scratch.scan_rows;
+      ++stats_.scan_rows;
       apply_row(facts[pos]);
     }
     return;
   }
 
   // Assemble the probe key in this step's fixed scratch slot.
-  ValueId* key = scratch.keys.data() + step.key_offset;
+  ValueId* key = scratch_.keys.data() + step.key_offset;
   for (uint32_t i = 0; i < step.num_keys; ++i) {
     const CompiledProgram::KeyPart& part = plan.key_parts[step.key_offset + i];
-    key[i] = part.is_const ? part.constant : scratch.binding[part.var];
+    key[i] = part.is_const ? part.constant : scratch_.binding[part.var];
   }
-  ++scratch.probes;
+  ++stats_.probes;
   const FactSpan facts = store_->Facts(step.pred);
   store_->ProbeEach(step.pred,
                     std::span<const uint32_t>(
@@ -475,49 +453,35 @@ void Evaluator::MatchStepRec(const CompiledRule& rule, const MatchPlan& plan,
                         step.num_keys),
                     RowView(key, step.num_keys), limit,
                     [&](std::size_t pos) {
-                      ++scratch.probe_rows;
+                      ++stats_.probe_rows;
                       apply_row(facts[pos]);
                       return true;
                     });
 }
 
-void Evaluator::MatchActivation(const Activation& activation,
-                                MatchScratch& scratch,
-                                DerivedBuffer& buffer) const {
-  const CompiledRule& rule = compiled_->rules_[activation.rule];
-  const MatchPlan& plan = rule.plans[activation.plan];
-  buffer.Reset(rule.head.terms.size());
+void Evaluator::MatchActivation(const CompiledRule& rule,
+                                const MatchPlan& plan, std::size_t scan_lo,
+                                std::size_t scan_hi) {
+  buffer_.Reset(rule.head.terms.size());
   auto sink = [&](RowView head_row) {
-    // Dedup against the frozen store first (cheap membership probe), then
-    // within the buffer; both are read paths plus thread-local writes.
+    // Dedup against the store first (cheap membership probe), then within
+    // the buffer.
     if (store_->Contains(rule.head.pred, head_row)) return;
-    buffer.Add(head_row);
+    buffer_.Add(head_row);
   };
-  MatchStepRec(rule, plan, 0, activation.delta_lo, activation.delta_hi,
-               scratch, sink);
+  MatchStepRec(rule, plan, 0, scan_lo, scan_hi, sink);
 }
 
-Status Evaluator::MergeBuffer(const CompiledRule& rule,
-                              const DerivedBuffer& buffer,
-                              bool* derived_new) {
-  for (std::size_t i = 0; i < buffer.num_rows; ++i) {
+Status Evaluator::MergeBuffer(const CompiledRule& rule, bool* derived_new) {
+  for (std::size_t i = 0; i < buffer_.num_rows; ++i) {
     LIMCAP_ASSIGN_OR_RETURN(
-        bool inserted, store_->InsertIds(rule.head.pred, buffer.RowAt(i)));
+        bool inserted, store_->InsertIds(rule.head.pred, buffer_.RowAt(i)));
     if (inserted) {
       ++stats_.facts_derived;
       *derived_new = true;
     }
   }
   return Status::OK();
-}
-
-void Evaluator::AbsorbScratchStats(MatchScratch& scratch) {
-  stats_.matches += scratch.matches;
-  stats_.probes += scratch.probes;
-  stats_.probe_rows += scratch.probe_rows;
-  stats_.scan_rows += scratch.scan_rows;
-  scratch.matches = scratch.probes = scratch.probe_rows = scratch.scan_rows =
-      0;
 }
 
 Status Evaluator::RunNaive() {
@@ -529,17 +493,13 @@ Status Evaluator::RunNaive() {
     stats_.round_activations.push_back(0);
     const uint64_t facts_before = stats_.facts_derived;
     bool derived_new = false;
-    for (uint32_t r = 0; r < rules.size(); ++r) {
+    for (const CompiledRule& rule : rules) {
       ++stats_.rule_activations;
       ++stats_.round_activations.back();
-      const Activation activation{
-          r, static_cast<uint32_t>(rules[r].body.size()), 0,
-          rules[r].body.empty()
-              ? 0
-              : snapshot_[rules[r].plans.back().steps[0].pred]};
-      MatchActivation(activation, scratch_, buffer_);
-      AbsorbScratchStats(scratch_);
-      LIMCAP_RETURN_NOT_OK(MergeBuffer(rules[r], buffer_, &derived_new));
+      const MatchPlan& plan = rule.plans.back();
+      MatchActivation(rule, plan, 0,
+                      rule.body.empty() ? 0 : snapshot_[plan.steps[0].pred]);
+      LIMCAP_RETURN_NOT_OK(MergeBuffer(rule, &derived_new));
     }
     round_span.Counter("activations",
                        static_cast<double>(stats_.round_activations.back()));
@@ -567,18 +527,16 @@ Status Evaluator::RunSemiNaive() {
     const uint64_t facts_before = stats_.facts_derived;
 
     bool derived_new = false;
-    for (uint32_t r = 0; r < rules.size(); ++r) {
-      const CompiledRule& rule = rules[r];
-      for (uint32_t d = 0; d < rule.body.size(); ++d) {
+    for (const CompiledRule& rule : rules) {
+      for (std::size_t d = 0; d < rule.body.size(); ++d) {
         const PredicateId pred = rule.body[d].pred;
         const std::size_t lo = processed_[pred];
         const std::size_t hi = snapshot_[pred];
         if (lo >= hi) continue;
         ++stats_.rule_activations;
         ++stats_.round_activations.back();
-        MatchActivation(Activation{r, d, lo, hi}, scratch_, buffer_);
-        AbsorbScratchStats(scratch_);
-        LIMCAP_RETURN_NOT_OK(MergeBuffer(rule, buffer_, &derived_new));
+        MatchActivation(rule, rule.plans[d], lo, hi);
+        LIMCAP_RETURN_NOT_OK(MergeBuffer(rule, &derived_new));
       }
     }
     for (PredicateId pred : compiled_->body_preds_) {
@@ -586,68 +544,6 @@ Status Evaluator::RunSemiNaive() {
     }
     round_span.Counter("activations",
                        static_cast<double>(stats_.round_activations.back()));
-    round_span.Counter(
-        "facts", static_cast<double>(stats_.facts_derived - facts_before));
-  }
-}
-
-Status Evaluator::RunParallelSemiNaive() {
-  const std::vector<CompiledRule>& rules = compiled_->rules_;
-  std::vector<Activation> activations;
-  while (true) {
-    RefreshSnapshot();
-    activations.clear();
-    for (uint32_t r = 0; r < rules.size(); ++r) {
-      const CompiledRule& rule = rules[r];
-      for (uint32_t d = 0; d < rule.body.size(); ++d) {
-        const PredicateId pred = rule.body[d].pred;
-        const std::size_t lo = processed_[pred];
-        const std::size_t hi = snapshot_[pred];
-        if (lo < hi) activations.push_back(Activation{r, d, lo, hi});
-      }
-    }
-    if (activations.empty()) return Status::OK();
-    obs::ScopedSpan round_span(options_.tracer, "eval.round");
-    ++stats_.iterations;
-    stats_.rule_activations += activations.size();
-    stats_.round_activations.push_back(activations.size());
-    const uint64_t facts_before = stats_.facts_derived;
-
-    if (activations.size() > activation_buffers_.size()) {
-      activation_buffers_.resize(activations.size());
-    }
-    // Workers pull activations off a shared counter and match against the
-    // frozen store into per-activation buffers. No store mutation happens
-    // until every worker is done.
-    std::atomic<std::size_t> next{0};
-    pool_->RunOnAll([&](std::size_t worker) {
-      MatchScratch& scratch = worker_scratch_[worker];
-      while (true) {
-        const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-        if (i >= activations.size()) break;
-        MatchActivation(activations[i], scratch,
-                        activation_buffers_[i]);
-      }
-    });
-    for (MatchScratch& scratch : worker_scratch_) {
-      AbsorbScratchStats(scratch);
-    }
-
-    // Round barrier: merge in activation order, which reproduces the
-    // serial insertion order exactly (first occurrence of each new fact
-    // appears at the same position), so parallel and serial runs yield
-    // bit-identical stores.
-    bool derived_new = false;
-    for (std::size_t i = 0; i < activations.size(); ++i) {
-      LIMCAP_RETURN_NOT_OK(MergeBuffer(rules[activations[i].rule],
-                                       activation_buffers_[i],
-                                       &derived_new));
-    }
-    for (PredicateId pred : compiled_->body_preds_) {
-      processed_[pred] = std::max(processed_[pred], snapshot_[pred]);
-    }
-    round_span.Counter("activations",
-                       static_cast<double>(activations.size()));
     round_span.Counter(
         "facts", static_cast<double>(stats_.facts_derived - facts_before));
   }

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "common/result.h"
-#include "common/thread_pool.h"
 #include "datalog/ast.h"
 #include "datalog/fact_store.h"
 #include "obs/trace.h"
@@ -27,7 +26,6 @@ struct EvalStats {
   /// head rows) when the program is bound; the match inner loop performs no
   /// per-substitution heap allocation.
   uint64_t scratch_bytes = 0;
-  uint64_t threads_used = 1;     ///< worker threads (1 in serial modes)
   /// Activations per fixpoint round, index = round number.
   std::vector<uint64_t> round_activations;
 };
@@ -138,7 +136,7 @@ class CompiledProgram {
   std::size_t max_head_ = 0;
 };
 
-/// Bottom-up evaluator for positive (negation-free) Datalog, with three
+/// Bottom-up evaluator for positive (negation-free) Datalog, with two
 /// strategies:
 ///
 /// * kNaive — every iteration re-derives from the full relations; the
@@ -146,12 +144,6 @@ class CompiledProgram {
 /// * kSemiNaive — delta-driven: each rule is re-evaluated only against the
 ///   facts that appeared since it was last processed, joining the delta of
 ///   one body atom with the full extent of the others.
-/// * kParallelSemiNaive — semi-naive with each round's (rule, delta-atom)
-///   activations partitioned across a worker pool. Workers match against
-///   the frozen store and emit into per-activation buffers; buffers merge
-///   into the store single-threaded in activation order at the round
-///   barrier, so the derived fact set AND its insertion order are
-///   bit-identical to serial semi-naive.
 ///
 /// Rules compile to match plans (CompiledProgram): predicate names intern
 /// to dense PredicateIds, and for each (rule, delta-atom) order the bind/
@@ -160,30 +152,23 @@ class CompiledProgram {
 /// once can be evaluated many times without recompiling. Matching runs
 /// against the fact store's flat arenas through the allocation-free
 /// ProbeEach cursor; derived facts are buffered per activation and merged
-/// at activation (serial) or round (parallel) boundaries, so the store is
-/// never mutated mid-scan.
+/// after it, so the store is never mutated mid-scan.
 ///
 /// Run() is resumable: callers may insert extensional facts into the store
 /// between calls and re-run; semi-naive watermarks persist across calls,
 /// so only new facts are reprocessed. The paper's source-driven evaluation
 /// (Section 3.3) relies on this to interleave Datalog rounds with source
-/// queries. The watermark contract is identical in serial and parallel
-/// modes.
+/// queries.
 class Evaluator {
  public:
-  enum class Mode { kNaive, kSemiNaive, kParallelSemiNaive };
+  enum class Mode { kNaive, kSemiNaive };
 
   struct Options {
     Mode mode = Mode::kSemiNaive;
-    /// Worker threads for kParallelSemiNaive; 0 means
-    /// std::thread::hardware_concurrency(). Ignored by serial modes.
-    std::size_t num_threads = 0;
     /// Observability: when set (and enabled), every fixpoint round emits
-    /// one "eval.round" span with its activation / derived-fact counters.
-    /// Spans are recorded only on the driver thread — in the parallel
-    /// mode at the round barrier, never from workers — so tracing cannot
-    /// perturb evaluation. Null: the hot path pays two branches per
-    /// round. Must outlive the evaluator.
+    /// one "eval.round" span with its activation / derived-fact counters;
+    /// tracing cannot perturb evaluation. Null: the hot path pays two
+    /// branches per round. Must outlive the evaluator.
     obs::Tracer* tracer = nullptr;
   };
 
@@ -197,10 +182,10 @@ class Evaluator {
 
   /// Binds `compiled` to `store`: replays its predicate declarations and
   /// constant interning in compile order, pre-builds every index the
-  /// plans probe, and sizes the match scratch (and, in the parallel mode,
-  /// the worker pool). A store that hands out other ids than the one
-  /// `compiled` was compiled against (its dictionary already held other
-  /// values) gets the same program compiled afresh over its own ids.
+  /// plans probe, and sizes the match scratch. A store that hands out
+  /// other ids than the one `compiled` was compiled against (its
+  /// dictionary already held other values) gets the same program compiled
+  /// afresh over its own ids.
   /// `store` must outlive the evaluator.
   static Result<std::unique_ptr<Evaluator>> Create(
       std::shared_ptr<const CompiledProgram> compiled, FactStore* store,
@@ -225,16 +210,12 @@ class Evaluator {
   using MatchStep = CompiledProgram::MatchStep;
   using CompiledTerm = CompiledProgram::CompiledTerm;
 
-  /// Per-worker reusable buffers; sized once at bind so the match loop
-  /// never allocates.
+  /// Reusable match buffers; sized once at bind so the match loop never
+  /// allocates.
   struct MatchScratch {
     std::vector<ValueId> binding;
     std::vector<ValueId> keys;
     std::vector<ValueId> head_row;
-    uint64_t matches = 0;
-    uint64_t probes = 0;
-    uint64_t probe_rows = 0;
-    uint64_t scan_rows = 0;
   };
 
   /// Arity-strided buffer of derived rows with open-addressing dedup,
@@ -252,14 +233,6 @@ class Evaluator {
     }
   };
 
-  /// One (rule, delta-atom) unit of work within a round.
-  struct Activation {
-    uint32_t rule;
-    uint32_t plan;  // plan index: delta atom, or body.size() for naive
-    std::size_t delta_lo;
-    std::size_t delta_hi;
-  };
-
   Evaluator(FactStore* store, const Options& options)
       : store_(store), options_(options) {}
 
@@ -272,25 +245,21 @@ class Evaluator {
   void RefreshSnapshot();
   Status RunNaive();
   Status RunSemiNaive();
-  Status RunParallelSemiNaive();
 
-  /// Matches one activation against the frozen store, emitting deduped
-  /// derived rows into `buffer`. Thread-safe: touches only `scratch`,
-  /// `buffer`, and read paths of the store.
-  void MatchActivation(const Activation& activation, MatchScratch& scratch,
-                       DerivedBuffer& buffer) const;
+  /// Matches one activation — `rule` under `plan`, its first atom over
+  /// rows [scan_lo, scan_hi) — against the store, collecting the derived
+  /// rows the store does not hold yet, deduped, in `buffer_`.
+  void MatchActivation(const CompiledRule& rule, const MatchPlan& plan,
+                       std::size_t scan_lo, std::size_t scan_hi);
 
   template <typename Sink>
   void MatchStepRec(const CompiledRule& rule, const MatchPlan& plan,
                     std::size_t k, std::size_t scan_lo, std::size_t scan_hi,
-                    MatchScratch& scratch, Sink& sink) const;
+                    Sink& sink);
 
-  /// Inserts `buffer` into the store (single-threaded), updating
-  /// facts_derived; sets *derived_new when any row was new.
-  Status MergeBuffer(const CompiledRule& rule, const DerivedBuffer& buffer,
-                     bool* derived_new);
-
-  void AbsorbScratchStats(MatchScratch& scratch);
+  /// Inserts `buffer_` into the store, updating facts_derived; sets
+  /// *derived_new when any row was new.
+  Status MergeBuffer(const CompiledRule& rule, bool* derived_new);
 
   FactStore* store_;
   Options options_;
@@ -302,10 +271,9 @@ class Evaluator {
   /// Semi-naive: per-predicate count of rows already processed as delta.
   std::vector<std::size_t> processed_;
   MatchScratch scratch_;
-  std::vector<MatchScratch> worker_scratch_;
+  /// The current activation's derived rows. Buffered, not inserted as
+  /// found, so a self-recursive rule never scans its own inserts.
   DerivedBuffer buffer_;
-  std::vector<DerivedBuffer> activation_buffers_;
-  std::unique_ptr<ThreadPool> pool_;
   EvalStats stats_;
 };
 

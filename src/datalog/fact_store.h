@@ -83,9 +83,7 @@ class FactSpan {
 /// allocate outside amortized table growth.
 ///
 /// Thread-safety: concurrent reads (Facts/Count/Contains/ProbeEach on
-/// already-built indexes) are safe while no insert runs; the parallel
-/// evaluator relies on this by pre-building indexes and confining inserts
-/// to single-threaded merge phases.
+/// already-built indexes) are safe while no insert runs.
 class FactStore {
  public:
   FactStore() : dict_(std::make_shared<ValueDictionary>()) {}

@@ -95,7 +95,6 @@ Result<ExecResult> SourceDrivenEvaluator::Execute(
 
   datalog::Evaluator::Options eval_options;
   eval_options.mode = options_.mode;
-  eval_options.num_threads = options_.eval_threads;
   eval_options.tracer = options_.tracer;
   LIMCAP_ASSIGN_OR_RETURN(
       auto evaluator,
@@ -213,10 +212,8 @@ Result<ExecResult> SourceDrivenEvaluator::Execute(
 
   // The source-access runtime. One scheduler serves the whole execution,
   // so circuit-breaker state and the simulated clock carry across rounds.
-  runtime::RuntimeOptions runtime_options = options_.runtime;
-  runtime_options.stop_on_error = !options_.continue_on_source_error;
-  runtime::FetchScheduler scheduler(runtime_options, dict,
-                                    options_.tracer);
+  runtime::FetchScheduler scheduler(options_.runtime, dict, options_.tracer,
+                                    !options_.continue_on_source_error);
 
   // The runtime-adaptive layer (off by default). The checker re-derives
   // relevance against the actually-materialized bindings each round; it
@@ -226,10 +223,10 @@ Result<ExecResult> SourceDrivenEvaluator::Execute(
   const bool eager = options_.strategy == FetchStrategy::kEager;
   std::unique_ptr<runtime::AdaptiveDispatcher> dispatcher;
   std::unique_ptr<analysis::DynamicRelevanceChecker> checker;
-  if (runtime_options.adaptive.enabled) {
-    dispatcher = std::make_unique<runtime::AdaptiveDispatcher>(runtime_options,
+  if (options_.runtime.adaptive.enabled) {
+    dispatcher = std::make_unique<runtime::AdaptiveDispatcher>(options_.runtime,
                                                                &scheduler);
-    if (runtime_options.adaptive.dynamic_pruning && !eager) {
+    if (options_.runtime.adaptive.dynamic_pruning && !eager) {
       analysis::DynamicRelevanceOptions checker_options;
       checker_options.goal_predicate = options_.builder.goal_predicate;
       checker_options.alpha_suffix = options_.builder.alpha_suffix;

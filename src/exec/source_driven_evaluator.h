@@ -68,9 +68,6 @@ struct ExecOptions {
   /// Static verification before execution; see StaticAnalysisMode.
   StaticAnalysisMode static_analysis = StaticAnalysisMode::kOff;
   datalog::Evaluator::Mode mode = datalog::Evaluator::Mode::kSemiNaive;
-  /// Worker threads when `mode` is kParallelSemiNaive (0 = hardware
-  /// concurrency); ignored by the serial modes.
-  std::size_t eval_threads = 0;
   FetchStrategy strategy = FetchStrategy::kRoundBased;
   /// Source-access budget (Section 7.2 partial answers): the evaluator
   /// stops issuing source queries once this many have been sent and
@@ -93,8 +90,7 @@ struct ExecOptions {
   /// The source-access runtime: concurrency, coalescing, retry/backoff,
   /// deadlines, circuit breakers, and the simulated LatencyModel clock.
   /// The defaults reproduce the legacy serial single-attempt fetch loop
-  /// bit for bit. (`runtime.stop_on_error` is derived from
-  /// `continue_on_source_error`; setting it here has no effect.)
+  /// bit for bit.
   runtime::RuntimeOptions runtime;
   /// The session dictionary every relation, fact and source query of this
   /// execution encodes against. Null (default) creates a fresh one; the

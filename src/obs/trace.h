@@ -36,10 +36,10 @@ struct Span {
 /// Records the span tree of one query answer. Contract:
 ///
 ///   * Single-threaded: only the driver thread of an execution may touch
-///     a tracer. The fetch scheduler and the parallel evaluator honor
-///     this by emitting spans only at their (driver-side, deterministic-
-///     order) merge points, never from worker threads — which is also
-///     what keeps traced runs bit-identical to untraced ones.
+///     a tracer. The fetch scheduler honors this by emitting spans only
+///     at its (driver-side, deterministic-order) merge point, never from
+///     worker threads — which is also what keeps traced runs
+///     bit-identical to untraced ones.
 ///   * Disabled is free: every emission site in the library guards with
 ///     `tracer != nullptr && tracer->enabled()`, so the disabled hot
 ///     path costs two branches and performs no allocation. The

@@ -68,9 +68,9 @@ Result<uint64_t> FingerprintFromString(const std::string& text) {
 
 // --- checked numbers -------------------------------------------------------
 
-/// The largest thread count a replay accepts: it sizes the evaluator's
-/// pool from eval_threads and the fetch scheduler's from max_in_flight,
-/// so a crafted artifact must not be able to demand more threads.
+/// The largest thread count a replay accepts: it sizes the fetch
+/// scheduler's pool from max_in_flight, so a crafted artifact must not be
+/// able to demand more threads.
 constexpr uint64_t kMaxReplayThreads = 1024;
 
 /// Reads a recorded count: `fallback` when absent, InvalidArgument naming
@@ -186,14 +186,6 @@ Json RuntimeOptionsToJson(const runtime::RuntimeOptions& runtime) {
     adaptive.Set("reorder", runtime.adaptive.reorder);
     adaptive.Set("batch", runtime.adaptive.batch);
     adaptive.Set("hedge", runtime.adaptive.hedge);
-    adaptive.Set("hedge_quantile", DoubleToHex(runtime.adaptive.hedge_quantile));
-    adaptive.Set("hedge_min_samples",
-                 static_cast<uint64_t>(runtime.adaptive.hedge_min_samples));
-    adaptive.Set("hedge_min_delay",
-                 DoubleToHex(runtime.adaptive.hedge_min_delay_ms));
-    adaptive.Set("batch_marginal_fraction",
-                 DoubleToHex(runtime.adaptive.batch_marginal_fraction));
-    adaptive.Set("ewma_alpha", DoubleToHex(runtime.adaptive.ewma_alpha));
     json.Set("adaptive", std::move(adaptive));
   }
   return json;
@@ -235,19 +227,6 @@ Result<runtime::RuntimeOptions> RuntimeOptionsFromJson(const Json& json) {
     runtime.adaptive.reorder = adaptive.GetBool("reorder", true);
     runtime.adaptive.batch = adaptive.GetBool("batch", true);
     runtime.adaptive.hedge = adaptive.GetBool("hedge", true);
-    LIMCAP_ASSIGN_OR_RETURN(
-        runtime.adaptive.hedge_quantile,
-        DoubleFromHex(adaptive.GetString("hedge_quantile")));
-    LIMCAP_ASSIGN_OR_RETURN(runtime.adaptive.hedge_min_samples,
-                            GetCount(adaptive, "hedge_min_samples", 8));
-    LIMCAP_ASSIGN_OR_RETURN(
-        runtime.adaptive.hedge_min_delay_ms,
-        DoubleFromHex(adaptive.GetString("hedge_min_delay")));
-    LIMCAP_ASSIGN_OR_RETURN(
-        runtime.adaptive.batch_marginal_fraction,
-        DoubleFromHex(adaptive.GetString("batch_marginal_fraction")));
-    LIMCAP_ASSIGN_OR_RETURN(runtime.adaptive.ewma_alpha,
-                            DoubleFromHex(adaptive.GetString("ewma_alpha")));
   }
   return runtime;
 }
@@ -261,7 +240,6 @@ Json ExecOptionsToJson(const exec::ExecOptions& options) {
            static_cast<uint64_t>(options.builder.max_rule_body_atoms));
   json.Set("static_analysis", static_cast<int>(options.static_analysis));
   json.Set("mode", static_cast<int>(options.mode));
-  json.Set("eval_threads", static_cast<uint64_t>(options.eval_threads));
   json.Set("strategy", static_cast<int>(options.strategy));
   json.Set("max_source_queries", BudgetToJson(options.max_source_queries));
   json.Set("min_answers", BudgetToJson(options.min_answers));
@@ -285,10 +263,7 @@ Result<exec::ExecOptions> ExecOptionsFromJson(const Json& json) {
   LIMCAP_ASSIGN_OR_RETURN(
       options.mode,
       GetEnum(json, "mode", datalog::Evaluator::Mode::kSemiNaive,
-              datalog::Evaluator::Mode::kParallelSemiNaive));
-  LIMCAP_ASSIGN_OR_RETURN(
-      options.eval_threads,
-      GetCount(json, "eval_threads", 0, kMaxReplayThreads));
+              datalog::Evaluator::Mode::kSemiNaive));
   LIMCAP_ASSIGN_OR_RETURN(
       options.strategy,
       GetEnum(json, "strategy", exec::FetchStrategy::kRoundBased,

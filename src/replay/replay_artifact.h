@@ -50,11 +50,10 @@ struct ReplayManifest {
   std::map<std::string, std::string> domains;
   uint64_t catalog_fingerprint = 0;
   /// The recorded run's execution knobs. Only the serializable subset
-  /// travels: builder options, static analysis mode, evaluator mode and
-  /// threads, strategy, budgets, error policy, and the full
-  /// RuntimeOptions (minus the non-owning pointers). session_dict,
-  /// plan_cache, governor, tracer, metrics and recorder stay null — the
-  /// replay wires its own.
+  /// travels: builder options, static analysis mode, evaluator mode,
+  /// strategy, budgets, error policy, and the full RuntimeOptions (minus
+  /// the non-owning pointers). session_dict, plan_cache, governor,
+  /// tracer, metrics and recorder stay null — the replay wires its own.
   exec::ExecOptions options;
   /// Provenance, not replay input: the workload seed and scenario the
   /// run came from (when it came from one), and the serve request tag.

@@ -9,6 +9,20 @@ namespace limcap::runtime {
 
 namespace {
 
+/// Quantile of a source's learned latency histogram that arms a hedge.
+constexpr double kHedgeQuantile = 0.95;
+/// Observations of a source required before hedging it (cold sources have
+/// no p95 worth trusting).
+constexpr std::size_t kHedgeMinSamples = 8;
+/// Floor on the hedge delay, so a uniformly fast source is never hedged
+/// at effectively zero delay.
+constexpr double kHedgeMinDelayMs = 1.0;
+/// Simulated cost of a follow-up call inside one batched source call, as
+/// a fraction of the source's base latency.
+constexpr double kBatchMarginalFraction = 0.25;
+/// Smoothing factor of the per-source latency/rows/failure EWMAs.
+constexpr double kEwmaAlpha = 0.2;
+
 const std::string& SourceNameOf(const FetchRequest& request) {
   return request.source->view().name();
 }
@@ -35,18 +49,17 @@ double AdaptiveDispatcher::ScoreFor(const std::string& source) const {
 }
 
 double AdaptiveDispatcher::HedgeDelayFor(const std::string& source) const {
-  const AdaptiveOptions& adaptive = runtime_.adaptive;
-  if (!adaptive.hedge) return std::numeric_limits<double>::infinity();
+  if (!runtime_.adaptive.hedge) return std::numeric_limits<double>::infinity();
   // Hedge delays come from this execution's OWN observations only: the
   // shared state aggregates other queries' progress, which would make a
   // query's timing depend on concurrent traffic.
   auto it = profiles_.find(source);
   if (it == profiles_.end() ||
-      it->second.observations < adaptive.hedge_min_samples) {
+      it->second.observations < kHedgeMinSamples) {
     return std::numeric_limits<double>::infinity();
   }
-  return std::max(it->second.LatencyQuantileMs(adaptive.hedge_quantile),
-                  adaptive.hedge_min_delay_ms);
+  return std::max(it->second.LatencyQuantileMs(kHedgeQuantile),
+                  kHedgeMinDelayMs);
 }
 
 std::vector<FetchResult> AdaptiveDispatcher::ExecuteFrontier(
@@ -111,7 +124,7 @@ std::vector<FetchResult> AdaptiveDispatcher::ExecuteFrontier(
           prev.query.positions == request.query.positions) {
         request.batch_discount_ms =
             runtime_.latency.LatencyOf(source) *
-            std::max(0.0, 1.0 - adaptive.batch_marginal_fraction);
+            (1.0 - kBatchMarginalFraction);
       }
     }
   }
@@ -134,7 +147,7 @@ std::vector<FetchResult> AdaptiveDispatcher::ExecuteFrontier(
     const double rows =
         failed ? 0.0 : static_cast<double>(result.tuples.value().size());
     profiles_[SourceNameOf(requests[i])].Observe(result.duration_ms, rows,
-                                                 failed, adaptive.ewma_alpha);
+                                                 failed, kEwmaAlpha);
   }
   return results;
 }

@@ -37,7 +37,7 @@ namespace limcap::runtime {
 /// so everything the session can observe is a pure function of the
 /// request stream, independent of dispatch mode. The adaptive property
 /// suite pins OrderedFingerprint bit-identity across serial /
-/// parallel-eval / concurrent-fetch / serve execution.
+/// concurrent-fetch / serve execution.
 class AdaptiveDispatcher {
  public:
   /// True when the dynamic relevance checker certified the frontier

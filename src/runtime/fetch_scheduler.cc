@@ -186,10 +186,11 @@ struct FetchScheduler::Leader {
 
 FetchScheduler::FetchScheduler(RuntimeOptions options,
                                ValueDictionaryPtr session_dict,
-                               obs::Tracer* tracer)
+                               obs::Tracer* tracer, bool stop_on_error)
     : options_(std::move(options)),
       dict_(std::move(session_dict)),
-      tracer_(tracer) {}
+      tracer_(tracer),
+      stop_on_error_(stop_on_error) {}
 
 FetchScheduler::~FetchScheduler() = default;
 
@@ -566,7 +567,7 @@ std::vector<FetchResult> FetchScheduler::ExecuteBatch(
     for (Leader& leader : leaders) {
       if (stopped) continue;
       if (!leader.allowed) {
-        if (options_.stop_on_error) stopped = true;
+        if (stop_on_error_) stopped = true;
         continue;
       }
       leader.executed = true;
@@ -580,7 +581,7 @@ std::vector<FetchResult> FetchScheduler::ExecuteBatch(
       } else {
         ExecuteLeader(&leader);
       }
-      if (options_.stop_on_error && !leader.tuples.ok()) stopped = true;
+      if (stop_on_error_ && !leader.tuples.ok()) stopped = true;
     }
   }
 

@@ -118,8 +118,12 @@ class FetchScheduler {
   /// the in-batch-order merge point — never from workers — so the
   /// per-fetch spans reconcile exactly with the FetchReport and tracing
   /// cannot perturb the execution.
+  ///
+  /// `stop_on_error`: serial dispatch stops calling further sources once
+  /// a fetch has permanently failed (the abort-on-error loop shape);
+  /// concurrent dispatch has already issued the batch and ignores it.
   FetchScheduler(RuntimeOptions options, ValueDictionaryPtr session_dict,
-                 obs::Tracer* tracer = nullptr);
+                 obs::Tracer* tracer = nullptr, bool stop_on_error = false);
   ~FetchScheduler();
 
   FetchScheduler(const FetchScheduler&) = delete;
@@ -173,6 +177,7 @@ class FetchScheduler {
   RuntimeOptions options_;
   ValueDictionaryPtr dict_;
   obs::Tracer* tracer_;
+  bool stop_on_error_;
   std::unique_ptr<ThreadPool> pool_;
   std::map<std::string, CircuitBreaker> breakers_;
   FetchReport report_;

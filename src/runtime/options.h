@@ -35,7 +35,7 @@ class FetchRecorder;
 ///
 /// All three change timing, ordering, and fetch counts — never answers;
 /// the adaptive property suite pins OrderedFingerprint bit-identity
-/// across serial / parallel-eval / concurrent-fetch / serve dispatch.
+/// across serial / concurrent-fetch / serve dispatch.
 struct AdaptiveOptions {
   bool enabled = false;
   /// Dynamic relevance checks at dispatch time (skip certificates).
@@ -47,19 +47,6 @@ struct AdaptiveOptions {
   bool batch = true;
   /// Hedge stragglers after the learned per-source p95 delay.
   bool hedge = true;
-  /// Quantile of the learned latency histogram that arms a hedge.
-  double hedge_quantile = 0.95;
-  /// Observations of a source required before hedging it (cold sources
-  /// have no p95 worth trusting).
-  std::size_t hedge_min_samples = 8;
-  /// Floor on the hedge delay, so a uniformly fast source is never
-  /// hedged at effectively zero delay.
-  double hedge_min_delay_ms = 1.0;
-  /// Simulated cost of a follow-up call inside one batched source call,
-  /// as a fraction of the source's base latency.
-  double batch_marginal_fraction = 0.25;
-  /// Smoothing factor of the per-source latency/rows/failure EWMAs.
-  double ewma_alpha = 0.2;
 };
 
 /// Configuration of the asynchronous source-access runtime: how each
@@ -95,11 +82,6 @@ struct RuntimeOptions {
   /// Seed for backoff jitter (and anything else the scheduler ever needs
   /// randomness for); runs are deterministic given the seed.
   uint64_t seed = 0;
-  /// Serial dispatch stops calling further sources once a fetch has
-  /// permanently failed (the legacy abort-on-error loop shape). The
-  /// evaluator sets this from ExecOptions::continue_on_source_error;
-  /// concurrent dispatch has already issued the batch and ignores it.
-  bool stop_on_error = false;
   /// Server-wide governor shared by every query of a multi-query server
   /// (must outlive the execution; not owned). Adds server-wide in-flight
   /// caps on top of this scheduler's own, and — under concurrent

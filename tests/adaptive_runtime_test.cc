@@ -6,7 +6,7 @@
 // wall pins:
 //
 //   * OrderedFingerprint bit-identity of adaptive execution across
-//     serial / parallel-eval / concurrent-fetch dispatch, on the four
+//     serial / concurrent-fetch dispatch, on the four
 //     paper examples, on 15 generated topologies, and under injected
 //     source faults;
 //   * serve-vs-solo bit-identity with adaptive dispatch on a shared
@@ -26,6 +26,7 @@
 #include <limits>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
@@ -38,6 +39,7 @@
 #include "exec/query_answerer.h"
 #include "mediator/serve_session.h"
 #include "paperdata/paper_examples.h"
+#include "query_redraw.h"
 #include "runtime/adaptive_dispatcher.h"
 #include "runtime/fault_injection.h"
 #include "runtime/fetch_governor.h"
@@ -66,7 +68,6 @@ using runtime::RuntimeOptions;
 using workload::CatalogSpec;
 using workload::GeneratedInstance;
 using workload::GenerateInstance;
-using workload::GenerateQuery;
 using workload::QuerySpec;
 
 Value S(const char* text) { return Value::String(text); }
@@ -76,18 +77,11 @@ std::set<Row> Rows(const Relation& relation) {
   return std::set<Row>(decoded.begin(), decoded.end());
 }
 
-/// The three execution modes of the bit-identity contract, each with
-/// the full adaptive stack switched on.
+/// The two execution modes of the bit-identity contract, each with the
+/// full adaptive stack switched on.
 ExecOptions AdaptiveSerial() {
   ExecOptions options;
   options.runtime.adaptive.enabled = true;
-  return options;
-}
-
-ExecOptions AdaptiveParallelEval() {
-  ExecOptions options = AdaptiveSerial();
-  options.mode = datalog::Evaluator::Mode::kParallelSemiNaive;
-  options.eval_threads = 4;
   return options;
 }
 
@@ -99,7 +93,7 @@ ExecOptions AdaptiveConcurrentFetch() {
   return options;
 }
 
-/// Answers `example.query` plain and adaptively in all three modes;
+/// Answers `example.query` plain and adaptively in both modes;
 /// asserts the adaptive answers match the non-adaptive baseline and the
 /// adaptive executions are bit-identical to each other.
 void ExpectAdaptivePreservesAnswers(const paperdata::PaperExample& example,
@@ -116,19 +110,14 @@ void ExpectAdaptivePreservesAnswers(const paperdata::PaperExample& example,
             baseline->exec.log.total_queries())
       << label;
 
-  auto parallel = answerer.Answer(example.query, AdaptiveParallelEval());
-  ASSERT_TRUE(parallel.ok()) << label;
-  EXPECT_EQ(Rows(parallel->exec.answer), Rows(baseline->exec.answer))
-      << label;
-
   auto concurrent = answerer.Answer(example.query, AdaptiveConcurrentFetch());
   ASSERT_TRUE(concurrent.ok()) << label;
   EXPECT_EQ(Rows(concurrent->exec.answer), Rows(baseline->exec.answer))
       << label;
 
-  const std::string fingerprint = OrderedFingerprint(serial->exec);
-  EXPECT_EQ(OrderedFingerprint(parallel->exec), fingerprint) << label;
-  EXPECT_EQ(OrderedFingerprint(concurrent->exec), fingerprint) << label;
+  EXPECT_EQ(OrderedFingerprint(concurrent->exec),
+            OrderedFingerprint(serial->exec))
+      << label;
 }
 
 TEST(AdaptiveBitIdentityTest, PaperExamplesMatchBaselineInEveryMode) {
@@ -159,7 +148,7 @@ TEST(AdaptiveBitIdentityTest, EagerStrategyStaysAnswerPreserving) {
 
 // ---------------------------------------------------------------------
 // Property: on random instances, adaptive dispatch stays
-// answer-preserving in all three modes, bit-identical across them, and
+// answer-preserving in both modes, bit-identical across them, and
 // never issues more source queries than the plain unoptimized run.
 
 struct Scenario {
@@ -203,8 +192,10 @@ class AdaptiveProperty : public ::testing::TestWithParam<Scenario> {
     query_spec.seed = GetParam().seed * 104729 + 41;
     query_spec.num_connections = 2;
     query_spec.views_per_connection = 2;
-    auto query = GenerateQuery(instance_, query_spec);
-    if (!query.ok()) GTEST_SKIP() << "no valid query for this instance";
+    std::optional<planner::Query> query =
+        testutil::RedrawAny(instance_, query_spec);
+    ASSERT_TRUE(query.has_value())
+        << "no valid query in " << testutil::kMaxDraws << " draws";
     query_ = *query;
   }
 
@@ -227,15 +218,11 @@ TEST_P(AdaptiveProperty, AdaptiveIsAnswerPreservingAcrossModes) {
   EXPECT_EQ(serial->exec.skip_certificates.size(),
             serial->exec.fetch_report.skipped_dynamic);
 
-  auto parallel = answerer.AnswerUnoptimized(query_, AdaptiveParallelEval());
-  ASSERT_TRUE(parallel.ok());
   auto concurrent =
       answerer.AnswerUnoptimized(query_, AdaptiveConcurrentFetch());
   ASSERT_TRUE(concurrent.ok());
-
-  const std::string fingerprint = OrderedFingerprint(serial->exec);
-  EXPECT_EQ(OrderedFingerprint(parallel->exec), fingerprint);
-  EXPECT_EQ(OrderedFingerprint(concurrent->exec), fingerprint);
+  EXPECT_EQ(OrderedFingerprint(concurrent->exec),
+            OrderedFingerprint(serial->exec));
 }
 
 INSTANTIATE_TEST_SUITE_P(Workloads, AdaptiveProperty,
@@ -283,8 +270,7 @@ void ExpectAdaptiveMatchesDegradedBaseline(FaultSpec spec,
   ASSERT_TRUE(baseline.ok()) << label << ": " << baseline.status().message();
 
   std::string fingerprint;
-  for (ExecOptions options : {AdaptiveSerial(), AdaptiveParallelEval(),
-                              AdaptiveConcurrentFetch()}) {
+  for (ExecOptions options : {AdaptiveSerial(), AdaptiveConcurrentFetch()}) {
     options.runtime.retry = base_options.runtime.retry;
     options.continue_on_source_error = true;
     FlakySetup setup = MakeFlaky(spec);
@@ -493,16 +479,13 @@ TEST(AdaptiveSkipCertificateTest, SkipsStayBitIdenticalAcrossModes) {
 
   auto serial = answerer.Answer(JunkFeederQuery(), AdaptiveSerial());
   ASSERT_TRUE(serial.ok());
-  auto parallel = answerer.Answer(JunkFeederQuery(), AdaptiveParallelEval());
-  ASSERT_TRUE(parallel.ok());
   auto concurrent =
       answerer.Answer(JunkFeederQuery(), AdaptiveConcurrentFetch());
   ASSERT_TRUE(concurrent.ok());
 
-  const std::string fingerprint = OrderedFingerprint(serial->exec);
-  EXPECT_EQ(OrderedFingerprint(parallel->exec), fingerprint);
-  EXPECT_EQ(OrderedFingerprint(concurrent->exec), fingerprint);
-  EXPECT_EQ(parallel->exec.fetch_report.skipped_dynamic, 2u);
+  EXPECT_EQ(OrderedFingerprint(concurrent->exec),
+            OrderedFingerprint(serial->exec));
+  EXPECT_EQ(serial->exec.fetch_report.skipped_dynamic, 2u);
   EXPECT_EQ(concurrent->exec.fetch_report.skipped_dynamic, 2u);
 }
 

@@ -177,7 +177,6 @@ void ExpectSameEvaluation(const Evaluation& got, const Evaluation& want) {
   EXPECT_EQ(a.probe_rows, b.probe_rows);
   EXPECT_EQ(a.scan_rows, b.scan_rows);
   EXPECT_EQ(a.scratch_bytes, b.scratch_bytes);
-  EXPECT_EQ(a.threads_used, b.threads_used);
   EXPECT_EQ(a.round_activations, b.round_activations);
 }
 
@@ -190,12 +189,10 @@ void CheckReuse(const std::vector<Case>& cases) {
     auto compiled = Evaluator::Compile(c.program, &compiling);
     ASSERT_TRUE(compiled.ok()) << c.name << ": " << compiled.status();
     for (Evaluator::Mode mode :
-         {Evaluator::Mode::kNaive, Evaluator::Mode::kSemiNaive,
-          Evaluator::Mode::kParallelSemiNaive}) {
+         {Evaluator::Mode::kNaive, Evaluator::Mode::kSemiNaive}) {
       SCOPED_TRACE(c.name + " mode " + std::to_string(int(mode)));
       Evaluator::Options options;
       options.mode = mode;
-      options.num_threads = 4;
       const MakeEvaluator from_program = [&](FactStore* store) {
         return Evaluator::Create(c.program, store, options);
       };

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "exec/query_answerer.h"
 #include "paperdata/paper_examples.h"
 #include "planner/cost_model.h"
+#include "query_redraw.h"
 #include "workload/generator.h"
 
 namespace limcap::planner {
@@ -86,8 +89,9 @@ TEST_P(EstimateAccuracy, WithinAnOrderOfMagnitude) {
   query_spec.num_connections = 2;
   query_spec.views_per_connection = 2;
   query_spec.seed = GetParam() * 5 + 1;
-  auto query = workload::GenerateQuery(instance, query_spec);
-  if (!query.ok()) GTEST_SKIP();
+  std::optional<Query> query = testutil::RedrawAny(instance, query_spec);
+  ASSERT_TRUE(query.has_value())
+      << "no valid query in " << testutil::kMaxDraws << " draws";
 
   auto stats = CollectCatalogStats(instance.catalog);
   ASSERT_TRUE(stats.ok());

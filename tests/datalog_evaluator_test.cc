@@ -19,22 +19,6 @@ Program P(const char* text) {
   return program.value_or(Program{});
 }
 
-/// Options used throughout: an explicit worker count so the parallel mode
-/// exercises a real pool even on single-core CI runners (serial modes
-/// ignore the field).
-Evaluator::Options Opts(Evaluator::Mode mode) {
-  Evaluator::Options options;
-  options.mode = mode;
-  options.num_threads = 4;
-  return options;
-}
-
-Result<std::unique_ptr<Evaluator>> Make(const Program& program,
-                                        FactStore* store,
-                                        Evaluator::Mode mode) {
-  return Evaluator::Create(program, store, Opts(mode));
-}
-
 /// Runs `program` over a copy of the EDB facts and returns the facts of
 /// `predicate` as a sorted set of decoded rows.
 std::set<std::vector<Value>> Eval(
@@ -45,27 +29,12 @@ std::set<std::vector<Value>> Eval(
   for (const auto& [name, row] : edb) {
     EXPECT_TRUE(store.Insert(name, row).ok());
   }
-  auto evaluator = Make(program, &store, mode);
+  auto evaluator = Evaluator::Create(program, &store, mode);
   EXPECT_TRUE(evaluator.ok()) << evaluator.status();
   EXPECT_TRUE((*evaluator)->Run().ok());
   std::set<std::vector<Value>> out;
   for (RowView row : store.Facts(predicate)) {
     out.insert(store.Decode(row));
-  }
-  return out;
-}
-
-/// Every predicate's facts in insertion order — the bit-exact shape used
-/// by the determinism tests (a set comparison would hide order drift).
-std::vector<std::pair<std::string, std::vector<relational::Row>>> Dump(
-    const FactStore& store) {
-  std::vector<std::pair<std::string, std::vector<relational::Row>>> out;
-  for (const std::string& name : store.Predicates()) {
-    std::vector<relational::Row> rows;
-    for (RowView row : store.Facts(name)) {
-      rows.push_back(store.Decode(row));
-    }
-    out.emplace_back(name, std::move(rows));
   }
   return out;
 }
@@ -195,12 +164,12 @@ TEST_P(EvaluatorModes, MutualRecursion) {
 TEST_P(EvaluatorModes, UnsafeProgramRejected) {
   Program program = P("p(X) :- q(Y).");
   FactStore store;
-  EXPECT_FALSE(Make(program, &store, GetParam()).ok());
+  EXPECT_FALSE(Evaluator::Create(program, &store, GetParam()).ok());
 }
 
 TEST_P(EvaluatorModes, EmptyProgramRuns) {
   FactStore store;
-  auto evaluator = Make(Program{}, &store, GetParam());
+  auto evaluator = Evaluator::Create(Program{}, &store, GetParam());
   ASSERT_TRUE(evaluator.ok());
   EXPECT_TRUE((*evaluator)->Run().ok());
 }
@@ -213,7 +182,7 @@ TEST_P(EvaluatorModes, ResumableAcrossEdbInserts) {
   ASSERT_TRUE(store.Insert("start", {S("a")}).ok());
   ASSERT_TRUE(store.Insert("e", {S("a"), S("b")}).ok());
   // Declare the EDB arity so later inserts agree.
-  auto evaluator = Make(program, &store, GetParam());
+  auto evaluator = Evaluator::Create(program, &store, GetParam());
   ASSERT_TRUE(evaluator.ok());
   ASSERT_TRUE((*evaluator)->Run().ok());
   EXPECT_EQ(store.Count("reach"), 2u);
@@ -228,24 +197,14 @@ TEST_P(EvaluatorModes, ResumableAcrossEdbInserts) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllModes, EvaluatorModes,
-    ::testing::Values(Evaluator::Mode::kNaive, Evaluator::Mode::kSemiNaive,
-                      Evaluator::Mode::kParallelSemiNaive),
+    ::testing::Values(Evaluator::Mode::kNaive, Evaluator::Mode::kSemiNaive),
     [](const ::testing::TestParamInfo<Evaluator::Mode>& info) {
-      switch (info.param) {
-        case Evaluator::Mode::kNaive:
-          return "Naive";
-        case Evaluator::Mode::kSemiNaive:
-          return "SemiNaive";
-        case Evaluator::Mode::kParallelSemiNaive:
-          return "ParallelSemiNaive";
-      }
-      return "Unknown";
+      return info.param == Evaluator::Mode::kNaive ? "Naive" : "SemiNaive";
     });
 
 /// Semi-naive watermarks must make a resumed Run delta-driven: after the
 /// fixpoint, extending a long chain by one edge may only reprocess the
-/// new facts, not re-match the existing closure. Holds identically in the
-/// serial and parallel modes.
+/// new facts, not re-match the existing closure.
 class SemiNaiveResumability
     : public ::testing::TestWithParam<Evaluator::Mode> {};
 
@@ -262,7 +221,7 @@ TEST_P(SemiNaiveResumability, WatermarksReprocessOnlyNewFacts) {
                                   S("a" + std::to_string(i + 1))})
                     .ok());
   }
-  auto evaluator = Make(program, &store, GetParam());
+  auto evaluator = Evaluator::Create(program, &store, GetParam());
   ASSERT_TRUE(evaluator.ok());
   ASSERT_TRUE((*evaluator)->Run().ok());
   EXPECT_EQ(store.Count("reach"), static_cast<std::size_t>(n + 1));
@@ -287,57 +246,10 @@ TEST_P(SemiNaiveResumability, WatermarksReprocessOnlyNewFacts) {
 
 INSTANTIATE_TEST_SUITE_P(
     SerialAndParallel, SemiNaiveResumability,
-    ::testing::Values(Evaluator::Mode::kSemiNaive,
-                      Evaluator::Mode::kParallelSemiNaive),
-    [](const ::testing::TestParamInfo<Evaluator::Mode>& info) {
-      return info.param == Evaluator::Mode::kSemiNaive ? "Serial"
-                                                       : "Parallel";
-    });
+    ::testing::Values(Evaluator::Mode::kSemiNaive),
+    [](const ::testing::TestParamInfo<Evaluator::Mode>&) { return "Serial"; });
 
-/// Parallel semi-naive must be deterministic: not just the same fact set
-/// as serial, but the same facts in the same insertion order for every
-/// predicate (merge happens in activation order at round barriers).
-TEST(ParallelEvaluatorTest, BitIdenticalToSerialOnTransitiveClosure) {
-  Program program = P(
-      "tc(X, Y) :- e(X, Y).\n"
-      "tc(X, Z) :- tc(X, Y), e(Y, Z).\n"
-      "sym(Y, X) :- tc(X, Y).\n");
-  auto build_edb = [](FactStore* store) {
-    // A braided graph: chain plus skip edges, several divergent paths to
-    // the same node so derivation order is actually contended.
-    for (int i = 0; i < 20; ++i) {
-      ASSERT_TRUE(store
-                      ->Insert("e", {S("v" + std::to_string(i)),
-                                     S("v" + std::to_string(i + 1))})
-                      .ok());
-      if (i % 3 == 0) {
-        ASSERT_TRUE(store
-                        ->Insert("e", {S("v" + std::to_string(i)),
-                                       S("v" + std::to_string(i + 2))})
-                        .ok());
-      }
-    }
-  };
-  FactStore serial_store;
-  build_edb(&serial_store);
-  auto serial = Make(program, &serial_store, Evaluator::Mode::kSemiNaive);
-  ASSERT_TRUE(serial.ok());
-  ASSERT_TRUE((*serial)->Run().ok());
-
-  FactStore parallel_store;
-  build_edb(&parallel_store);
-  auto parallel =
-      Make(program, &parallel_store, Evaluator::Mode::kParallelSemiNaive);
-  ASSERT_TRUE(parallel.ok());
-  ASSERT_TRUE((*parallel)->Run().ok());
-
-  EXPECT_GT((*parallel)->stats().threads_used, 1u);
-  EXPECT_EQ(Dump(serial_store), Dump(parallel_store));
-  EXPECT_EQ((*serial)->stats().facts_derived,
-            (*parallel)->stats().facts_derived);
-}
-
-TEST(ParallelEvaluatorTest, StatsReportThreadsProbesAndRounds) {
+TEST(EvaluatorStatsTest, StatsReportProbesScratchAndRounds) {
   Program program = P(
       "tc(X, Y) :- e(X, Y).\n"
       "tc(X, Z) :- tc(X, Y), e(Y, Z).\n");
@@ -348,12 +260,10 @@ TEST(ParallelEvaluatorTest, StatsReportThreadsProbesAndRounds) {
                                   S("n" + std::to_string(i + 1))})
                     .ok());
   }
-  auto evaluator =
-      Make(program, &store, Evaluator::Mode::kParallelSemiNaive);
+  auto evaluator = Evaluator::Create(program, &store);
   ASSERT_TRUE(evaluator.ok());
   ASSERT_TRUE((*evaluator)->Run().ok());
   const EvalStats& stats = (*evaluator)->stats();
-  EXPECT_EQ(stats.threads_used, 4u);
   EXPECT_GT(stats.probes, 0u);
   EXPECT_GT(stats.scratch_bytes, 0u);
   ASSERT_EQ(stats.round_activations.size(), stats.iterations);
@@ -440,15 +350,9 @@ TEST_P(RandomProgramAgreement, NaiveEqualsSemiNaive) {
     std::string name = "p" + std::to_string(p);
     auto naive = Eval(program, edb, name, Evaluator::Mode::kNaive);
     auto semi = Eval(program, edb, name, Evaluator::Mode::kSemiNaive);
-    auto parallel =
-        Eval(program, edb, name, Evaluator::Mode::kParallelSemiNaive);
     EXPECT_EQ(naive, semi) << "predicate " << name << " differs, seed "
                            << GetParam() << "\n"
                            << program.ToString();
-    EXPECT_EQ(semi, parallel)
-        << "parallel disagrees on " << name << ", seed " << GetParam()
-        << "\n"
-        << program.ToString();
   }
 }
 

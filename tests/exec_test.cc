@@ -333,24 +333,6 @@ TEST(ExecModesTest, NaiveAndSemiNaiveAgreeOnExample21) {
   EXPECT_EQ(Rows(a->exec.answer), Rows(b->exec.answer));
 }
 
-TEST(ExecModesTest, ParallelSemiNaiveAgreesOnExample21) {
-  // Parallel inner evaluation must not change the source-driven answer:
-  // same answer rows, and the same source queries issued in the same
-  // rounds (the watermark contract is identical in both modes).
-  PaperExample example = MakeExample21();
-  QueryAnswerer answerer(&example.catalog, example.domains);
-  ExecOptions parallel;
-  parallel.mode = datalog::Evaluator::Mode::kParallelSemiNaive;
-  parallel.eval_threads = 4;
-  auto a = answerer.Answer(example.query, parallel);
-  auto b = answerer.Answer(example.query);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  EXPECT_EQ(Rows(a->exec.answer), Rows(b->exec.answer));
-  EXPECT_EQ(a->exec.log.total_queries(), b->exec.log.total_queries());
-  EXPECT_EQ(a->exec.rounds, b->exec.rounds);
-}
-
 TEST(ExecTest, CachedTupleUnlocksMoreAnswers) {
   // Section 7.1: caching the v4 tuple <c5, a5, $11> (e.g. from an earlier
   // session) makes the $11 answer obtainable in Example 2.1.

@@ -7,19 +7,20 @@
 // run of the same query, for
 //
 //   * the serial evaluator + serial fetch (the default),
-//   * the parallel semi-naive evaluator,
 //   * the concurrent fetch runtime (thread pool + in-flight caps) —
 //     this configuration also runs under TSan in CI, so a tracer
 //     touched off the driver thread would be caught here.
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
 
 #include "exec/fingerprint.h"
 #include "exec/query_answerer.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "query_redraw.h"
 #include "workload/generator.h"
 
 namespace limcap::obs {
@@ -30,10 +31,9 @@ using exec::QueryAnswerer;
 using workload::CatalogSpec;
 using workload::GeneratedInstance;
 using workload::GenerateInstance;
-using workload::GenerateQuery;
 using workload::QuerySpec;
 
-enum class Config { kSerial, kParallelEval, kConcurrentFetch };
+enum class Config { kSerial, kConcurrentFetch };
 
 struct Scenario {
   Config config;
@@ -41,17 +41,14 @@ struct Scenario {
 };
 
 std::string ScenarioName(const ::testing::TestParamInfo<Scenario>& info) {
-  const char* config = info.param.config == Config::kSerial ? "Serial"
-                       : info.param.config == Config::kParallelEval
-                           ? "ParallelEval"
-                           : "ConcurrentFetch";
+  const char* config =
+      info.param.config == Config::kSerial ? "Serial" : "ConcurrentFetch";
   return std::string(config) + "Seed" + std::to_string(info.param.seed);
 }
 
 std::vector<Scenario> AllScenarios() {
   std::vector<Scenario> scenarios;
-  for (Config config : {Config::kSerial, Config::kParallelEval,
-                        Config::kConcurrentFetch}) {
+  for (Config config : {Config::kSerial, Config::kConcurrentFetch}) {
     for (uint64_t seed = 0; seed < 6; ++seed) {
       scenarios.push_back({config, seed});
     }
@@ -63,10 +60,6 @@ ExecOptions MakeOptions(Config config) {
   ExecOptions options;
   switch (config) {
     case Config::kSerial:
-      break;
-    case Config::kParallelEval:
-      options.mode = datalog::Evaluator::Mode::kParallelSemiNaive;
-      options.eval_threads = 4;
       break;
     case Config::kConcurrentFetch:
       options.runtime.concurrent = true;
@@ -94,8 +87,10 @@ class ObsBitIdentityProperty : public ::testing::TestWithParam<Scenario> {
     query_spec.seed = GetParam().seed * 12289 + 11;
     query_spec.num_connections = 2;
     query_spec.views_per_connection = 2;
-    auto query = GenerateQuery(instance_, query_spec);
-    if (!query.ok()) GTEST_SKIP() << "no valid query for this instance";
+    std::optional<planner::Query> query =
+        testutil::RedrawAny(instance_, query_spec);
+    ASSERT_TRUE(query.has_value())
+        << "no valid query in " << testutil::kMaxDraws << " draws";
     query_ = *query;
   }
 

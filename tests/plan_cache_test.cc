@@ -364,10 +364,6 @@ PaperExample MakeExample(int index) {
 std::vector<std::pair<std::string, ExecOptions>> EvaluatorConfigs() {
   std::vector<std::pair<std::string, ExecOptions>> configs;
   configs.emplace_back("serial", ExecOptions{});
-  ExecOptions parallel;
-  parallel.mode = datalog::Evaluator::Mode::kParallelSemiNaive;
-  parallel.eval_threads = 4;
-  configs.emplace_back("parallel-eval", parallel);
   ExecOptions concurrent;
   concurrent.runtime.concurrent = true;
   configs.emplace_back("concurrent-fetch", concurrent);

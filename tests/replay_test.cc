@@ -341,11 +341,8 @@ Json WithNumber(Json json, const std::vector<std::string>& path,
 
 TEST(ReplayArtifactTest, VerifyManifestDetectsCorruption) {
   paperdata::PaperExample example = paperdata::MakeExample21();
-  // Adaptive dispatch on, so the manifest carries every numeric field.
-  exec::ExecOptions recorded;
-  recorded.runtime.adaptive.enabled = true;
   Result<std::string> bytes = RecordRun(example.catalog, example.domains,
-                                        example.query, recorded, nullptr);
+                                        example.query, {}, nullptr);
   ASSERT_TRUE(bytes.ok()) << bytes.status();
   ASSERT_TRUE(VerifyManifest(*bytes).ok());
 
@@ -391,13 +388,11 @@ TEST(ReplayArtifactTest, VerifyManifestDetectsCorruption) {
       {"options", "max_rule_body_atoms"},
       {"options", "static_analysis"},
       {"options", "mode"},
-      {"options", "eval_threads"},
       {"options", "strategy"},
       {"options", "max_source_queries"},
       {"options", "min_answers"},
       {"options", "runtime", "max_in_flight"},
       {"options", "runtime", "per_source_max_in_flight"},
-      {"options", "runtime", "adaptive", "hedge_min_samples"},
       {"options", "runtime", "retry", "attempts"},
       {"options", "runtime", "retry", "breaker_threshold"},
   };
@@ -405,9 +400,8 @@ TEST(ReplayArtifactTest, VerifyManifestDetectsCorruption) {
   // replay's cap, are rejected too.
   std::vector<std::pair<std::vector<std::string>, std::string>> cases = {
       {{"options", "static_analysis"}, "4"},
-      {{"options", "mode"}, "3"},
+      {{"options", "mode"}, "2"},
       {{"options", "strategy"}, "2"},
-      {{"options", "eval_threads"}, "1025"},
       {{"options", "runtime", "max_in_flight"}, "1025"},
   };
   for (const std::vector<std::string>& path : fields) {
@@ -425,14 +419,13 @@ TEST(ReplayArtifactTest, VerifyManifestDetectsCorruption) {
         << verified.status().message();
   }
   // The cap itself and 0 (automatic) pass.
-  for (const std::vector<std::string>& path :
-       {std::vector<std::string>{"options", "eval_threads"},
-        std::vector<std::string>{"options", "runtime", "max_in_flight"}}) {
-    for (const char* number : {"0", "1024"}) {
-      EXPECT_TRUE(
-          VerifyManifest(Frame(WithNumber(manifest, path, number), body)).ok())
-          << path.back() << " = " << number;
-    }
+  const std::vector<std::string> max_in_flight = {"options", "runtime",
+                                                  "max_in_flight"};
+  for (const char* number : {"0", "1024"}) {
+    EXPECT_TRUE(
+        VerifyManifest(Frame(WithNumber(manifest, max_in_flight, number), body))
+            .ok())
+        << "max_in_flight = " << number;
   }
 }
 
@@ -548,6 +541,41 @@ TEST(ReplayRoundTripTest, AdaptiveDispatchReplays) {
   exec::ExecOptions options;
   options.runtime.adaptive.enabled = true;
   ExpectRoundTrip(example.catalog, example.domains, example.query, options);
+}
+
+TEST(ReplayRoundTripTest, AdaptiveManifestWithoutTuningValuesReplays) {
+  // The adaptive manifest holds only the four mechanism switches: the
+  // dispatcher's tuning values are constants, and a manifest that carries
+  // them (as older recordings do) has them ignored.
+  paperdata::PaperExample example = paperdata::MakeExample21();
+  exec::ExecOptions options;
+  options.runtime.adaptive.enabled = true;
+  Result<std::string> bytes = RecordRun(example.catalog, example.domains,
+                                        example.query, options, nullptr);
+  ASSERT_TRUE(bytes.ok()) << bytes.status();
+  Result<ReplayArtifact> artifact = DecodeArtifact(*bytes);
+  ASSERT_TRUE(artifact.ok()) << artifact.status();
+  std::string body;
+  for (const auto& call : artifact->calls) {
+    body += FetchToJson(call).Dump() + "\n";
+  }
+  Json manifest = ManifestToJson(artifact->manifest);
+  Json& adaptive =
+      manifest.object()["options"].object()["runtime"].object()["adaptive"];
+  Json switches = Json::MakeObject();
+  for (const char* key :
+       {"enabled", "dynamic_pruning", "reorder", "batch", "hedge"}) {
+    switches.Set(key, adaptive.Get(key));
+  }
+  adaptive = std::move(switches);
+
+  Result<ReplayArtifact> stripped = DecodeArtifact(Frame(manifest, body));
+  ASSERT_TRUE(stripped.ok()) << stripped.status();
+  EXPECT_TRUE(stripped->manifest.options.runtime.adaptive.enabled);
+  Result<ReplayRunReport> replayed = ReplayArtifactData(*stripped);
+  ASSERT_TRUE(replayed.ok()) << replayed.status();
+  EXPECT_TRUE(replayed->fingerprint_match) << replayed->rendered;
+  EXPECT_EQ(replayed->replay_misses, 0u);
 }
 
 TEST(ReplayRoundTripTest, AdaptiveFaultInjectedRunReplays) {

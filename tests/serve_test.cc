@@ -33,9 +33,8 @@ using workload::GenerateMixedWorkload;
 using workload::MixedWorkload;
 using workload::MixedWorkloadSpec;
 
-/// The three execution configurations the isolation contract must hold
-/// under: everything serial, parallel Datalog evaluation, and concurrent
-/// source fetching.
+/// The two execution configurations the isolation contract must hold
+/// under: everything serial, and concurrent source fetching.
 struct Config {
   const char* name;
   ExecOptions options;
@@ -43,12 +42,9 @@ struct Config {
 
 std::vector<Config> Configs() {
   Config serial{"serial", {}};
-  Config parallel_eval{"parallel_eval", {}};
-  parallel_eval.options.mode = datalog::Evaluator::Mode::kParallelSemiNaive;
-  parallel_eval.options.eval_threads = 4;
   Config concurrent_fetch{"concurrent_fetch", {}};
   concurrent_fetch.options.runtime.concurrent = true;
-  return {serial, parallel_eval, concurrent_fetch};
+  return {serial, concurrent_fetch};
 }
 
 double CounterValue(const obs::MetricsRegistry& registry,

@@ -1,6 +1,6 @@
 // StaticAnalysisMode::kPrune with binding-flow channel pruning: the
-// prune verdict is answer-preserving in every execution mode (serial,
-// parallel evaluation, concurrent fetch), bit-identical across modes by
+// prune verdict is answer-preserving in every execution mode (serial
+// and concurrent fetch), bit-identical across modes by
 // OrderedFingerprint, and actually saves source queries when the
 // program carries a reachable-but-irrelevant channel.
 
@@ -37,18 +37,11 @@ std::set<Row> Rows(const relational::Relation& relation) {
   return std::set<Row>(decoded.begin(), decoded.end());
 }
 
-/// The three execution modes of the acceptance criterion, each with
-/// kPrune switched on.
+/// The two execution modes of the acceptance criterion, each with kPrune
+/// switched on.
 ExecOptions SerialPrune() {
   ExecOptions options;
   options.static_analysis = StaticAnalysisMode::kPrune;
-  return options;
-}
-
-ExecOptions ParallelEvalPrune() {
-  ExecOptions options = SerialPrune();
-  options.mode = datalog::Evaluator::Mode::kParallelSemiNaive;
-  options.eval_threads = 4;
   return options;
 }
 
@@ -60,7 +53,7 @@ ExecOptions ConcurrentFetchPrune() {
   return options;
 }
 
-/// Answers `example.query` unpruned and pruned in all three modes;
+/// Answers `example.query` unpruned and pruned in both modes;
 /// asserts the pruned answers match the unpruned baseline and that the
 /// pruned executions are bit-identical to each other.
 void ExpectPrunePreservesAnswers(const paperdata::PaperExample& example,
@@ -74,11 +67,6 @@ void ExpectPrunePreservesAnswers(const paperdata::PaperExample& example,
   EXPECT_TRUE(serial->analysis.binding_flow_ran) << label;
   EXPECT_EQ(Rows(serial->exec.answer), Rows(baseline->exec.answer)) << label;
 
-  auto parallel = answerer.Answer(example.query, ParallelEvalPrune());
-  ASSERT_TRUE(parallel.ok()) << label;
-  EXPECT_EQ(Rows(parallel->exec.answer), Rows(baseline->exec.answer))
-      << label;
-
   auto concurrent = answerer.Answer(example.query, ConcurrentFetchPrune());
   ASSERT_TRUE(concurrent.ok()) << label;
   EXPECT_EQ(Rows(concurrent->exec.answer), Rows(baseline->exec.answer))
@@ -86,9 +74,9 @@ void ExpectPrunePreservesAnswers(const paperdata::PaperExample& example,
 
   // The pruned execution is deterministic across modes: same fetches in
   // the same canonical order, same derived facts, same answer bytes.
-  const std::string fingerprint = OrderedFingerprint(serial->exec);
-  EXPECT_EQ(OrderedFingerprint(parallel->exec), fingerprint) << label;
-  EXPECT_EQ(OrderedFingerprint(concurrent->exec), fingerprint) << label;
+  EXPECT_EQ(OrderedFingerprint(concurrent->exec),
+            OrderedFingerprint(serial->exec))
+      << label;
 }
 
 TEST(StaticPruneTest, PaperExamplesAreAnswerPreservingInEveryMode) {
@@ -240,15 +228,11 @@ TEST_P(StaticPruneProperty, PruneIsAnswerPreservingAcrossModes) {
   EXPECT_LE(serial->exec.log.total_queries(),
             baseline->exec.log.total_queries());
 
-  auto parallel = answerer.AnswerUnoptimized(query_, ParallelEvalPrune());
-  ASSERT_TRUE(parallel.ok());
   auto concurrent =
       answerer.AnswerUnoptimized(query_, ConcurrentFetchPrune());
   ASSERT_TRUE(concurrent.ok());
-
-  const std::string fingerprint = OrderedFingerprint(serial->exec);
-  EXPECT_EQ(OrderedFingerprint(parallel->exec), fingerprint);
-  EXPECT_EQ(OrderedFingerprint(concurrent->exec), fingerprint);
+  EXPECT_EQ(OrderedFingerprint(concurrent->exec),
+            OrderedFingerprint(serial->exec));
 }
 
 INSTANTIATE_TEST_SUITE_P(Workloads, StaticPruneProperty,
