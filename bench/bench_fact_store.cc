@@ -1,42 +1,26 @@
 // X5 — FactStore storage ablation at scale: insert, probe, and contains
 // throughput on the interned flat-arena store at 10k–1M facts.
 //
-// Beyond raw throughput, this bench instruments the global allocator to
-// certify the zero-allocation contract of the probe path: ProbeEach and
-// Contains must perform no heap allocation per call once indexes are
-// built (the `allocs_per_probe` / `allocs_per_contains` counters in the
-// JSON output must be 0).
+// Beyond raw throughput, this bench instruments the global allocator
+// (alloc_counter.cc) to certify the zero-allocation contract of the
+// probe path: ProbeEach and Contains must perform no heap allocation per
+// call once indexes are built (the `allocs_per_probe` /
+// `allocs_per_contains` counters in the JSON output must be 0). Before
+// timing anything it checks that the counter counts, so a replacement
+// that stopped linking fails instead of reading 0.
 
 #include <benchmark/benchmark.h>
 
-#include <atomic>
-#include <cstdlib>
-#include <new>
+#include <cstdio>
 #include <vector>
 
+#include "alloc_counter.h"
 #include "datalog/fact_store.h"
-
-namespace {
-std::atomic<std::size_t> g_allocations{0};
-}  // namespace
-
-// Count every heap allocation in the process. new[] funnels through
-// operator new on this toolchain's default implementation, but both are
-// replaced to be safe.
-void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* ptr = std::malloc(size ? size : 1)) return ptr;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void operator delete(void* ptr) noexcept { std::free(ptr); }
-void operator delete[](void* ptr) noexcept { std::free(ptr); }
-void operator delete(void* ptr, std::size_t) noexcept { std::free(ptr); }
-void operator delete[](void* ptr, std::size_t) noexcept { std::free(ptr); }
 
 namespace {
 
 using limcap::Value;
+using limcap::benchalloc::g_allocations;
 using limcap::ValueId;
 using limcap::datalog::FactStore;
 using limcap::datalog::IdRow;
@@ -191,8 +175,28 @@ BENCHMARK(BM_FactStoreContains)
     ->Arg(1'000'000)
     ->Unit(benchmark::kMillisecond);
 
+/// True when one heap allocation raises g_allocations: the counter is
+/// live, so a zero allocation counter means no allocation.
+bool AllocationCounterCounts() {
+  const std::size_t before = g_allocations.load(std::memory_order_relaxed);
+  int* probe = new int(0);
+  benchmark::DoNotOptimize(probe);
+  const std::size_t after = g_allocations.load(std::memory_order_relaxed);
+  delete probe;
+  return after > before;
+}
+
 }  // namespace
 
 #include "bench_report.h"
 
-LIMCAP_BENCHMARK_MAIN_WITH_REPORT("bench_fact_store")
+int main(int argc, char** argv) {
+  if (!AllocationCounterCounts()) {
+    std::fprintf(stderr,
+                 "FAIL: a heap allocation did not raise the allocation "
+                 "counter; the replaced operator new is not linked\n");
+    return 1;
+  }
+  return limcap::benchreport::GBenchMainWithReport("bench_fact_store", argc,
+                                                   argv);
+}

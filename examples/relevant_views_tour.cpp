@@ -66,8 +66,15 @@ void Tour(const char* title, PaperExample example) {
     std::printf("\n");
   }
 
-  std::printf("Pi(Q, V)   — %zu rules:\n%s\n", plan->full_program.size(),
-              plan->full_program.ToString().c_str());
+  auto full = limcap::planner::BuildFullProgram(example.query, example.views,
+                                                example.domains);
+  if (!full.ok()) {
+    std::fprintf(stderr, "building Pi(Q, V) failed: %s\n",
+                 full.status().ToString().c_str());
+    return;
+  }
+  std::printf("Pi(Q, V)   — %zu rules:\n%s\n", full->size(),
+              full->ToString().c_str());
   std::printf("Pi(Q, V_r) — %zu rules (after FIND_REL trimming)\n",
               plan->relevant_program.size());
   std::printf("optimized  — %zu rules (after useless-rule removal):\n%s\n",

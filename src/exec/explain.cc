@@ -34,13 +34,19 @@ void RenderRelevance(const planner::PlanResult& plan,
   out << "\n";
 }
 
-void RenderProgram(const planner::PlanResult& plan,
+void RenderProgram(const ExplainRenderInputs& inputs,
                    std::ostringstream& out) {
+  const planner::PlanResult& plan = *inputs.answer->plan;
+  // The answer never builds Π(Q, V); build it here for its size.
+  Result<datalog::Program> full = planner::BuildFullProgram(
+      *inputs.query, *inputs.views, *inputs.domains, inputs.builder);
   Section(out, "Optimized program");
   out << plan.optimized_program.size() << " rule(s); Section 6 removed "
       << plan.removed_rules.size() << " of "
       << plan.relevant_program.size() << " (full program: "
-      << plan.full_program.size() << ")\n"
+      << (full.ok() ? std::to_string(full->size())
+                    : full.status().ToString())
+      << ")\n"
       << plan.optimized_program.ToString();
   if (!plan.removed_rules.empty()) {
     out << "removed as useless:\n";
@@ -149,9 +155,9 @@ std::string RenderExplainText(const ExplainRenderInputs& inputs) {
   Section(out, "Query");
   out << inputs.query->ToString() << "\n\n";
   RenderRelevance(*inputs.answer->plan, out);
-  RenderProgram(*inputs.answer->plan, out);
+  RenderProgram(inputs, out);
   RenderBindingFlow(*inputs.answer->plan, *inputs.views, *inputs.domains,
-                    inputs.goal_predicate, out);
+                    inputs.builder.goal_predicate, out);
   RenderPlanCache(*inputs.answer, inputs.cache_stats, out);
   RenderExecution(*inputs.answer, out);
   RenderAdaptive(*inputs.answer, inputs.adaptive, out);
@@ -218,7 +224,7 @@ Result<ExplainReport> Explain(const ExplainRequest& request) {
   render.query = &report.query;
   render.views = &views;
   render.domains = &domains;
-  render.goal_predicate = options.builder.goal_predicate;
+  render.builder = options.builder;
   render.cache_stats = options.plan_cache->stats();
   render.tracer = &report.tracer;
   render.metrics = &report.metrics;

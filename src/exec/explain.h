@@ -66,7 +66,9 @@ struct ExplainRenderInputs {
   /// Catalog views in registration order (for the binding-flow section).
   const std::vector<capability::SourceView>* views = nullptr;
   const planner::DomainMap* domains = nullptr;
-  std::string goal_predicate = "ans";
+  /// The answer's builder options: the goal predicate, and what
+  /// Π(Q, V) is rebuilt with for the "full program" count.
+  planner::BuilderOptions builder;
   planner::PlanCache::Stats cache_stats;
   const obs::Tracer* tracer = nullptr;
   const obs::MetricsRegistry* metrics = nullptr;

@@ -215,7 +215,7 @@ Result<AnswerReport> QueryAnswerer::RunPipeline(
         seeded.insert(attrs.begin(), attrs.end());
       }
     }
-    // One snapshot of the catalog serves both planning and the gate.
+    // One snapshot of the catalog serves planning, Π(Q, V) and the gate.
     const std::vector<capability::SourceView> views = catalog_->Views();
     LIMCAP_ASSIGN_OR_RETURN(
         planner::PlanResult planned,
@@ -224,9 +224,15 @@ Result<AnswerReport> QueryAnswerer::RunPipeline(
     report.plan =
         std::make_shared<const planner::PlanResult>(std::move(planned));
     RecordPlanMetrics(*report.plan, session_options.metrics);
-    const datalog::Program* chosen = full_program
-                                         ? &report.plan->full_program
-                                         : &report.plan->optimized_program;
+    const datalog::Program* chosen = &report.plan->optimized_program;
+    datalog::Program full;
+    if (full_program) {
+      LIMCAP_ASSIGN_OR_RETURN(
+          full, planner::BuildFullProgram(query, views, domains_,
+                                          session_options.builder,
+                                          session_options.tracer));
+      chosen = &full;
+    }
     // Fold the cached tuples in as fact rules (Section 7.1). Facts only
     // add derivations, so the relevance analysis computed without them
     // stays sound; the gate runs after, because the facts seed domains

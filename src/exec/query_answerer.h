@@ -34,9 +34,10 @@ struct PlanCacheReport {
 
 /// Everything produced by answering one query end-to-end.
 struct AnswerReport {
-  /// The plan: FIND_REL analysis, Π(Q, V), Π(Q, V_r), optimized program.
-  /// Built once by the answer that planned it and shared, never copied,
-  /// with its plan-cache entry and every answer that hits it.
+  /// The plan: FIND_REL analysis, Π(Q, V_r), optimized program (never
+  /// Π(Q, V); see planner::BuildFullProgram). Built once by the answer
+  /// that planned it and shared, never copied, with its plan-cache entry
+  /// and every answer that hits it.
   std::shared_ptr<const planner::PlanResult> plan;
   /// The static verifier's findings, when options.static_analysis was
   /// not kOff (see `analysis_ran`). Under kPrune, `executability` names
@@ -80,8 +81,9 @@ class QueryAnswerer {
                               QueryContext& context) const;
 
   /// Plans and executes the *unoptimized* Π(Q, V) — used by benches to
-  /// measure what FIND_REL saves. Its plan-cache entries are keyed apart
-  /// from Answer()'s.
+  /// measure what FIND_REL saves. The only answer path that builds
+  /// Π(Q, V) (planner::BuildFullProgram, under a "plan.build" span after
+  /// "plan"). Its plan-cache entries are keyed apart from Answer()'s.
   Result<AnswerReport> AnswerUnoptimized(const planner::Query& query,
                                          const ExecOptions& options = {}) const;
 
@@ -100,10 +102,11 @@ class QueryAnswerer {
 
  private:
   /// The one pipeline behind every entry point: plan-cache lookup,
-  /// planning, the program choice (Π(Q, V) when `full_program`, else the
-  /// optimized Π(Q, V_r)), Section 7.1 tuples folded in when `cached` is
-  /// set, the static gate, cache publication, execution, and the
-  /// degraded-connection annotation. `query` must already be validated.
+  /// planning, the program choice (Π(Q, V), built here, when
+  /// `full_program`, else the optimized Π(Q, V_r)), Section 7.1 tuples
+  /// folded in when `cached` is set, the static gate, cache publication,
+  /// execution, and the degraded-connection annotation. `query` must
+  /// already be validated.
   Result<AnswerReport> RunPipeline(
       const planner::Query& query, QueryContext& context, bool full_program,
       const std::map<std::string, relational::Relation>* cached) const;

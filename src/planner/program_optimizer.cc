@@ -115,15 +115,6 @@ Result<PlanResult> PlanQuery(const Query& query,
       result.relevance,
       AnalyzeQueryRelevance(query, views, domains, seeded_attributes,
                             tracer));
-  {
-    obs::ScopedSpan build_span(tracer, "plan.build");
-    LIMCAP_ASSIGN_OR_RETURN(result.full_program,
-                            BuildProgram(query, views, domains, options));
-    result.full_program = DecomposeWideRules(std::move(result.full_program),
-                                             options.max_rule_body_atoms);
-    build_span.Counter("rules",
-                       static_cast<double>(result.full_program.rules().size()));
-  }
 
   // Π(Q, V_r): only the queryable connections, only the relevant views.
   Query trimmed(query.inputs(), query.outputs(),
@@ -157,6 +148,19 @@ Result<PlanResult> PlanQuery(const Query& query,
   optimize_span.Counter("rules_removed",
                         static_cast<double>(result.removed_rules.size()));
   return result;
+}
+
+Result<datalog::Program> BuildFullProgram(const Query& query,
+                                          const std::vector<SourceView>& views,
+                                          const DomainMap& domains,
+                                          const BuilderOptions& options,
+                                          obs::Tracer* tracer) {
+  obs::ScopedSpan build_span(tracer, "plan.build");
+  LIMCAP_ASSIGN_OR_RETURN(datalog::Program program,
+                          BuildProgram(query, views, domains, options));
+  program = DecomposeWideRules(std::move(program), options.max_rule_body_atoms);
+  build_span.Counter("rules", static_cast<double>(program.rules().size()));
+  return program;
 }
 
 }  // namespace limcap::planner

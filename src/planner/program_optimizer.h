@@ -46,11 +46,12 @@ datalog::Program DecomposeWideRules(datalog::Program program,
 ///      connection, V_r;
 ///   2. BuildProgram over only the relevant views V_r and the queryable
 ///      connections;
-///   3. RemoveUselessRules.
+///   3. RemoveUselessRules, then DecomposeWideRules.
+/// The brute-force Π(Q, V) over every view is not part of a plan: the
+/// one answer path that executes it, and the readers that print it, ask
+/// BuildFullProgram for it.
 struct PlanResult {
   QueryRelevance relevance;
-  /// Π(Q, V): the unoptimized program over all views (for comparison).
-  datalog::Program full_program;
   /// Π(Q, V_r) before dead-rule elimination.
   datalog::Program relevant_program;
   /// The final optimized program.
@@ -64,13 +65,26 @@ struct PlanResult {
 ///
 /// `tracer` (optional): emits a "plan" span covering the pipeline with
 /// child spans for each stage — "plan.relevance" (with per-connection
-/// "plan.find_rel" children), "plan.build", "plan.build_relevant", and
-/// "plan.optimize" (counter: rules_removed). Null costs two branches.
+/// "plan.find_rel" children), "plan.build_relevant", and "plan.optimize"
+/// (counter: rules_removed). Null costs two branches.
 Result<PlanResult> PlanQuery(
     const Query& query, const std::vector<SourceView>& views,
     const DomainMap& domains, const BuilderOptions& options = {},
     const capability::AttributeSet& seeded_attributes = {},
     obs::Tracer* tracer = nullptr);
+
+/// Π(Q, V): the unoptimized program of Section 3.1 over every view in
+/// `views` — BuildProgram followed by DecomposeWideRules at
+/// `options.max_rule_body_atoms`, with no relevance trimming and no
+/// useless-rule removal (the paper's Figures 2 and 4). What
+/// QueryAnswerer::AnswerUnoptimized executes. Fails as BuildProgram does.
+///
+/// `tracer` (optional): emits one "plan.build" span (counter: rules).
+Result<datalog::Program> BuildFullProgram(const Query& query,
+                                          const std::vector<SourceView>& views,
+                                          const DomainMap& domains,
+                                          const BuilderOptions& options = {},
+                                          obs::Tracer* tracer = nullptr);
 
 }  // namespace limcap::planner
 

@@ -134,7 +134,7 @@ Result<ReplayRunReport> ReplayArtifactData(const ReplayArtifact& artifact,
   render.query = &report.bundle.query;
   render.views = &views;
   render.domains = &report.bundle.domains;
-  render.goal_predicate = options.builder.goal_predicate;
+  render.builder = options.builder;
   render.cache_stats = local_cache.stats();
   render.tracer = &report.tracer;
   render.metrics = &report.metrics;

@@ -2,12 +2,14 @@
 
 #include <cctype>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
 #include <sstream>
 #include <utility>
 
+#include "common/json.h"
 #include "common/text_table.h"
 
 namespace limcap::runtime {
@@ -98,11 +100,6 @@ std::string FormatNumber(double value) {
   return buffer;
 }
 
-std::string JsonNumber(double value) {
-  // JSON has no infinity; deadline "none" renders as null.
-  return std::isinf(value) ? "null" : FormatNumber(value);
-}
-
 }  // namespace
 
 Result<RuntimeOptions> ParseRuntimeConfig(std::string_view text) {
@@ -183,28 +180,24 @@ Result<RuntimeOptions> ParseRuntimeConfig(std::string_view text) {
 std::string RenderRuntimePolicies(const std::vector<std::string>& views,
                                   const RuntimeOptions& options, bool json) {
   if (json) {
-    std::string out = "[";
-    bool first = true;
+    // A deadline of "none" (infinity) dumps as null.
+    Json rows = Json::MakeArray();
     for (const std::string& view : views) {
       const RetryPolicy& policy = options.PolicyFor(view);
-      if (!first) out += ",";
-      first = false;
-      out += "\n  {\"view\": \"" + view + "\"";
-      out += ", \"attempts\": " + std::to_string(policy.max_attempts);
-      out += ", \"backoff_ms\": " + JsonNumber(policy.backoff_base_ms);
-      out += ", \"backoff_max_ms\": " + JsonNumber(policy.backoff_max_ms);
-      out += ", \"jitter\": " + JsonNumber(policy.jitter);
-      out += ", \"deadline_ms\": " + JsonNumber(policy.deadline_ms);
-      out += ", \"breaker_failures\": " +
-             std::to_string(policy.breaker.failure_threshold);
-      out += ", \"breaker_cooldown_ms\": " +
-             JsonNumber(policy.breaker.cooldown_ms);
-      out += ", \"latency_ms\": " +
-             JsonNumber(options.latency.LatencyOf(view));
-      out += "}";
+      Json row = Json::MakeObject();
+      row.Set("view", view);
+      row.Set("attempts", static_cast<std::uint64_t>(policy.max_attempts));
+      row.Set("backoff_ms", policy.backoff_base_ms);
+      row.Set("backoff_max_ms", policy.backoff_max_ms);
+      row.Set("jitter", policy.jitter);
+      row.Set("deadline_ms", policy.deadline_ms);
+      row.Set("breaker_failures",
+              static_cast<std::uint64_t>(policy.breaker.failure_threshold));
+      row.Set("breaker_cooldown_ms", policy.breaker.cooldown_ms);
+      row.Set("latency_ms", options.latency.LatencyOf(view));
+      rows.Append(std::move(row));
     }
-    out += "\n]\n";
-    return out;
+    return rows.Dump() + "\n";
   }
   TextTable table({"View", "Attempts", "Backoff ms", "Max ms", "Jitter",
                    "Deadline ms", "Breaker", "Cooldown ms", "Latency ms"});

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "capability/in_memory_source.h"
+#include "common/json.h"
 #include "exec/fingerprint.h"
 #include "exec/query_answerer.h"
 #include "paperdata/paper_examples.h"
@@ -435,9 +436,26 @@ TEST(RuntimeConfigTest, RendersPerViewPolicies) {
   EXPECT_NE(text.find("v1"), std::string::npos);
   EXPECT_NE(text.find("v2"), std::string::npos);
   EXPECT_NE(text.find("120"), std::string::npos);
-  std::string json = RenderRuntimePolicies({"v1", "v2"}, *options, true);
-  EXPECT_NE(json.find("\"view\": \"v2\""), std::string::npos);
-  EXPECT_NE(json.find("\"breaker_failures\": 4"), std::string::npos);
+  // The JSON rows parse back, one object per view in order.
+  auto json =
+      Json::Parse(RenderRuntimePolicies({"v1", "v2"}, *options, true));
+  ASSERT_TRUE(json.ok()) << json.status();
+  ASSERT_TRUE(json->is_array());
+  ASSERT_EQ(json->array().size(), 2u);
+  const Json& v1 = json->array()[0];
+  EXPECT_EQ(v1.GetString("view"), "v1");
+  EXPECT_EQ(v1.GetNumber("attempts"), 2);
+  EXPECT_EQ(v1.GetNumber("breaker_failures"), 0);
+  EXPECT_EQ(v1.GetNumber("latency_ms"), 50);
+  EXPECT_TRUE(v1.Get("deadline_ms").is_null());
+  const Json& v2 = json->array()[1];
+  EXPECT_EQ(v2.GetString("view"), "v2");
+  EXPECT_EQ(v2.GetNumber("attempts"), 2);
+  EXPECT_EQ(v2.GetNumber("breaker_failures"), 4);
+  EXPECT_EQ(v2.GetNumber("latency_ms"), 120);
+  // No deadline is configured: infinity renders as null.
+  EXPECT_TRUE(v2.Has("deadline_ms"));
+  EXPECT_TRUE(v2.Get("deadline_ms").is_null());
 }
 
 // ---------------------------------------------------------------------------

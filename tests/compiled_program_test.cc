@@ -57,10 +57,9 @@ Case PlannedCase(std::string name, const planner::Query& query,
                  const std::vector<capability::SourceView>& views,
                  const planner::DomainMap& domains,
                  const capability::SourceCatalog& catalog) {
-  auto plan = planner::PlanQuery(query, views, domains);
-  EXPECT_TRUE(plan.ok()) << name << ": " << plan.status();
-  return Case{std::move(name),
-              plan.ok() ? plan->full_program : Program{},
+  auto program = planner::BuildFullProgram(query, views, domains);
+  EXPECT_TRUE(program.ok()) << name << ": " << program.status();
+  return Case{std::move(name), program.ok() ? *program : Program{},
               SourceFacts(catalog)};
 }
 

@@ -298,8 +298,10 @@ void ExpectPlannedProgramsMatch(const planner::Query& query,
                                 const std::string& label) {
   auto plan = planner::PlanQuery(query, views, domains, builder);
   ASSERT_TRUE(plan.ok()) << label << ": " << plan.status().message();
-  ExpectVerdictsMatch(plan->full_program, views, domains,
-                      builder.goal_predicate, label + " full");
+  auto full = planner::BuildFullProgram(query, views, domains, builder);
+  ASSERT_TRUE(full.ok()) << label << ": " << full.status().message();
+  ExpectVerdictsMatch(*full, views, domains, builder.goal_predicate,
+                      label + " full");
   ExpectVerdictsMatch(plan->optimized_program, views, domains,
                       builder.goal_predicate, label + " optimized");
 }

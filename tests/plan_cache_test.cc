@@ -4,7 +4,9 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 #include <random>
+#include <set>
 #include <string>
 #include <thread>
 #include <tuple>
@@ -15,8 +17,11 @@
 #include "capability/in_memory_source.h"
 #include "exec/fingerprint.h"
 #include "exec/query_answerer.h"
+#include "exec/source_driven_evaluator.h"
 #include "mediator/mediator.h"
+#include "obs/trace.h"
 #include "paperdata/paper_examples.h"
+#include "planner/program_optimizer.h"
 #include "workload/generator.h"
 
 namespace limcap::planner {
@@ -412,6 +417,90 @@ TEST(PlanCacheTest, WarmAnswerBitIdenticalToColdOnPaperExamples) {
       }
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// A cold answer plans only the program it runs.
+
+std::set<relational::Row> RowSet(const relational::Relation& relation) {
+  std::vector<relational::Row> rows = relation.DecodedRows();
+  return std::set<relational::Row>(rows.begin(), rows.end());
+}
+
+/// On one catalog and query: a traced cold Answer, uncached or through a
+/// capacity-0 cache, builds Π(Q, V_r) once and never Π(Q, V); a traced
+/// AnswerUnoptimized builds Π(Q, V) once, as BuildFullProgram does, and
+/// answers exactly as that program does when executed directly.
+void ExpectColdAnswerBuildsOnlyWhatRuns(const SourceCatalog& catalog,
+                                        const DomainMap& domains,
+                                        const Query& query) {
+  QueryAnswerer answerer(&catalog, domains);
+  PlanCache disabled(0);
+  for (PlanCache* cache : {static_cast<PlanCache*>(nullptr), &disabled}) {
+    SCOPED_TRACE(cache == nullptr ? "no cache" : "capacity-0 cache");
+    obs::Tracer tracer;
+    ExecOptions options;
+    options.tracer = &tracer;
+    options.plan_cache = cache;
+    auto cold = answerer.Answer(query, options);
+    ASSERT_TRUE(cold.ok()) << cold.status();
+    EXPECT_FALSE(cold->cache.hit);
+    EXPECT_EQ(tracer.CountSpans("plan.build"), 0u);
+    EXPECT_EQ(tracer.CountSpans("plan.build_relevant"), 1u);
+  }
+
+  auto full = BuildFullProgram(query, catalog.Views(), domains);
+  ASSERT_TRUE(full.ok()) << full.status();
+  obs::Tracer tracer;
+  ExecOptions options;
+  options.tracer = &tracer;
+  auto unoptimized = answerer.AnswerUnoptimized(query, options);
+  ASSERT_TRUE(unoptimized.ok()) << unoptimized.status();
+  EXPECT_EQ(tracer.CountSpans("plan.build"), 1u);
+  EXPECT_EQ(tracer.SumCounter("plan.build", "rules"), double(full->size()));
+
+  exec::SourceDrivenEvaluator evaluator(&catalog, domains);
+  auto direct = evaluator.Execute(*full, query);
+  ASSERT_TRUE(direct.ok()) << direct.status();
+  EXPECT_EQ(RowSet(unoptimized->exec.answer), RowSet(direct->answer));
+  EXPECT_EQ(unoptimized->exec.log.total_queries(),
+            direct->log.total_queries());
+}
+
+TEST(ColdPlanningTest, PaperExamplesBuildOnlyTheExecutedProgram) {
+  for (int example_index = 0; example_index < 4; ++example_index) {
+    SCOPED_TRACE("example " + std::to_string(example_index));
+    PaperExample example = MakeExample(example_index);
+    ExpectColdAnswerBuildsOnlyWhatRuns(example.catalog, example.domains,
+                                       example.query);
+  }
+}
+
+TEST(ColdPlanningTest, Chain400BuildsOnlyTheExecutedProgram) {
+  // bench_plan_cache's chain400: the decoyed 400-view bf-chain and the
+  // first probed 4-view walk with a non-empty answer.
+  workload::CatalogSpec spec;
+  spec.topology = workload::CatalogSpec::Topology::kChain;
+  spec.num_views = 400;
+  spec.tuples_per_view = 20;
+  spec.domain_size = 12;
+  spec.seed = 20260807;
+  workload::GeneratedInstance instance = workload::GenerateInstance(spec);
+  workload::QuerySpec query_spec;
+  query_spec.num_connections = 1;
+  query_spec.views_per_connection = 4;
+  QueryAnswerer answerer(&instance.catalog, instance.domains);
+  std::optional<Query> walk;
+  for (uint64_t seed = 1; seed <= 64 && !walk.has_value(); ++seed) {
+    query_spec.seed = seed;
+    auto candidate = workload::GenerateQuery(instance, query_spec);
+    if (!candidate.ok()) continue;
+    auto probe = answerer.Answer(*candidate);
+    if (probe.ok() && !probe->exec.answer.empty()) walk = *candidate;
+  }
+  ASSERT_TRUE(walk.has_value()) << "no answerable walk in 64 seeds";
+  ExpectColdAnswerBuildsOnlyWhatRuns(instance.catalog, instance.domains,
+                                     *walk);
 }
 
 TEST(PlanCacheTest, WarmPathReplaysAnalysisVerdicts) {

@@ -362,13 +362,15 @@ TEST_P(RandomInstanceProperties, BindingFlowCertificatesVerify) {
   QueryAnswerer answerer(&instance_.catalog, instance_.domains);
   auto report = answerer.AnswerUnoptimized(query_);
   ASSERT_TRUE(report.ok()) << report.status();
+  auto full = planner::BuildFullProgram(query_, instance_.catalog.Views(),
+                                        instance_.domains);
+  ASSERT_TRUE(full.ok()) << full.status();
   analysis::BindingFlowResult flow = analysis::AnalyzeBindingFlow(
-      report->plan->full_program, instance_.catalog.Views(),
-      instance_.domains);
+      *full, instance_.catalog.Views(), instance_.domains);
   for (const analysis::ChannelVerdict& verdict : flow.channels) {
     Status status = analysis::VerifyCertificate(
-        report->plan->full_program, instance_.catalog.Views(),
-        instance_.domains, analysis::BindingFlowOptions(), verdict);
+        *full, instance_.catalog.Views(), instance_.domains,
+        analysis::BindingFlowOptions(), verdict);
     EXPECT_TRUE(status.ok())
         << verdict.view << "[" << verdict.template_index
         << "]: " << status.message() << "; query " << query_.ToString();
@@ -382,9 +384,11 @@ TEST_P(RandomInstanceProperties, IrrelevantChannelsAreEvaluationInert) {
   QueryAnswerer answerer(&instance_.catalog, instance_.domains);
   auto baseline = answerer.AnswerUnoptimized(query_);
   ASSERT_TRUE(baseline.ok()) << baseline.status();
+  auto full = planner::BuildFullProgram(query_, instance_.catalog.Views(),
+                                        instance_.domains);
+  ASSERT_TRUE(full.ok()) << full.status();
   analysis::BindingFlowResult flow = analysis::AnalyzeBindingFlow(
-      baseline->plan->full_program, instance_.catalog.Views(),
-      instance_.domains);
+      *full, instance_.catalog.Views(), instance_.domains);
   const auto pruned_channels = flow.PrunedChannels();
 
   exec::ExecOptions all;

@@ -336,7 +336,10 @@ TEST_P(PruneSoundness, PrunedRulesAreEvaluationInert) {
   // analyzer called dead derived nothing in the ungated run.
   const analysis::ExecutabilityResult& verdicts =
       pruned->analysis.executability;
-  const datalog::Program& program = baseline->plan->full_program;
+  auto full = planner::BuildFullProgram(query_, instance_.catalog.Views(),
+                                        instance_.domains);
+  ASSERT_TRUE(full.ok()) << full.status().message();
+  const datalog::Program& program = *full;
   std::set<std::string> heads;
   for (const datalog::Rule& rule : program.rules()) {
     heads.insert(rule.head.predicate);
