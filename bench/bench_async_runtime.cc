@@ -32,9 +32,14 @@
 //
 // A last section answers one wide frontier (about 24k source queries)
 // with serial and with concurrent dispatch and reports the wall time of
-// each, ungated (self-check: identical answers and source queries).
-// Output is one JSON row per configuration.
+// each, ungated (self-check: identical answers and source queries), and
+// the heap allocations per source query of each, counted by the global
+// operator new of alloc_counter.cc (self-check: serial dispatch makes at
+// most 2.5 per query, and more than none, so a counter that stopped
+// linking fails). Output is one JSON row per configuration.
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <ctime>
@@ -52,6 +57,7 @@
 #include "runtime/fault_injection.h"
 #include "workload/generator.h"
 
+#include "alloc_counter.h"
 #include "bench_report.h"
 
 namespace {
@@ -62,10 +68,17 @@ using limcap::capability::SourceCatalog;
 int failures = 0;
 limcap::benchreport::Reporter reporter("bench_async_runtime");
 
+/// Wide-frontier gate: serial dispatch's heap allocations per source
+/// query (the two id vectors each access record keeps, plus per-round
+/// and planning costs spread over ~24k queries).
+constexpr double kMaxSerialAllocsPerQuery = 2.5;
+
 struct Run {
   limcap::Result<limcap::exec::AnswerReport> report =
       limcap::Status::Internal("never ran");
   double wall_ms = 0;
+  /// Heap allocations made while answering.
+  std::size_t allocations = 0;
 };
 
 Run AnswerOnce(const SourceCatalog& catalog,
@@ -74,15 +87,27 @@ Run AnswerOnce(const SourceCatalog& catalog,
                const limcap::exec::ExecOptions& options) {
   limcap::exec::QueryAnswerer answerer(&catalog, domains);
   Run run;
+  const std::size_t allocations_before =
+      limcap::benchalloc::g_allocations.load(std::memory_order_relaxed);
   auto start = std::chrono::steady_clock::now();
   run.report = answerer.Answer(query, options);
   auto stop = std::chrono::steady_clock::now();
+  run.allocations =
+      limcap::benchalloc::g_allocations.load(std::memory_order_relaxed) -
+      allocations_before;
   run.wall_ms =
       std::chrono::duration<double, std::milli>(stop - start).count();
   return run;
 }
 
-void EmitRow(const std::string& bench, const Run& run) {
+double AllocsPerSourceQuery(const Run& run) {
+  return double(run.allocations) /
+         double(std::max<std::size_t>(1, run.report->exec.log.total_queries()));
+}
+
+/// Emits one row; `count_allocations` adds allocs_per_source_query.
+void EmitRow(const std::string& bench, const Run& run,
+             bool count_allocations = false) {
   const limcap::runtime::FetchReport& fetch =
       run.report->exec.fetch_report;
   std::printf(
@@ -91,7 +116,7 @@ void EmitRow(const std::string& bench, const Run& run) {
       "\"coalesced\": %zu, \"simulated_makespan_ms\": %.1f, "
       "\"simulated_sequential_ms\": %.1f, \"speedup\": %.2f, "
       "\"skipped_dynamic\": %zu, \"hedged\": %zu, \"hedge_wins\": %zu, "
-      "\"degraded\": %s, \"wall_ms\": %.1f}\n",
+      "\"degraded\": %s, \"wall_ms\": %.1f",
       bench.c_str(), run.report->exec.answer.size(),
       run.report->exec.log.total_queries(), fetch.batches,
       fetch.total_attempts, fetch.total_retries, fetch.coalesced_hits,
@@ -99,8 +124,16 @@ void EmitRow(const std::string& bench, const Run& run) {
       fetch.SequentialSpeedup(), fetch.skipped_dynamic, fetch.hedged,
       fetch.hedge_wins, fetch.degraded() ? "true" : "false",
       run.wall_ms);
-  reporter.AddRow(bench)
-      .Set("answer_rows", double(run.report->exec.answer.size()))
+  if (count_allocations) {
+    std::printf(", \"allocs_per_source_query\": %.2f",
+                AllocsPerSourceQuery(run));
+  }
+  std::printf("}\n");
+  limcap::benchreport::Reporter::Row& row = reporter.AddRow(bench);
+  if (count_allocations) {
+    row.Set("allocs_per_source_query", AllocsPerSourceQuery(run));
+  }
+  row.Set("answer_rows", double(run.report->exec.answer.size()))
       .Set("source_queries", double(run.report->exec.log.total_queries()))
       .Set("batches", double(fetch.batches))
       .Set("attempts", double(fetch.total_attempts))
@@ -680,8 +713,24 @@ int main() {
         std::fprintf(stderr, "FAIL: wide frontier run failed\n");
         ++failures;
       } else {
-        EmitRow("wide_frontier_serial", wide_serial);
-        EmitRow("wide_frontier_concurrent", wide_concurrent);
+        EmitRow("wide_frontier_serial", wide_serial, true);
+        EmitRow("wide_frontier_concurrent", wide_concurrent, true);
+        const double serial_allocs = AllocsPerSourceQuery(wide_serial);
+        const bool allocs_ok = wide_serial.allocations > 0 &&
+                               serial_allocs <= kMaxSerialAllocsPerQuery;
+        reporter.Invariant(
+            "wide frontier: serial dispatch allocates at most 2.5 times "
+            "per source query",
+            allocs_ok);
+        if (!allocs_ok) {
+          std::fprintf(stderr,
+                       "FAIL: wide frontier serial dispatch made %zu heap "
+                       "allocations, %.2f per source query (gate: more "
+                       "than 0, at most %.1f)\n",
+                       wide_serial.allocations, serial_allocs,
+                       kMaxSerialAllocsPerQuery);
+          ++failures;
+        }
         const bool wide_match =
             wide_serial.report->exec.answer ==
                 wide_concurrent.report->exec.answer &&

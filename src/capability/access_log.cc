@@ -1,5 +1,7 @@
 #include "capability/access_log.h"
 
+#include <bit>
+
 #include "common/string_util.h"
 #include "common/text_table.h"
 
@@ -33,6 +35,14 @@ std::vector<std::string> AccessRecord::NewBindings() const {
 
 void AccessLog::Record(AccessRecord record) {
   records_.push_back(std::move(record));
+}
+
+void AccessLog::MakeRoomFor(std::size_t count) {
+  const std::size_t needed = records_.size() + count;
+  // Power-of-two capacities, the sizes push_back reaches, so answers keep
+  // asking the allocator for block sizes it has freed before; exact sizes
+  // fragment the heap and raise the peak footprint of concurrent answers.
+  if (needed > records_.capacity()) records_.reserve(std::bit_ceil(needed));
 }
 
 std::size_t AccessLog::QueriesTo(const std::string& source) const {

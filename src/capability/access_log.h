@@ -53,6 +53,11 @@ class AccessLog {
  public:
   void Record(AccessRecord record);
 
+  /// Makes room for `count` more records, growing the capacity to the
+  /// next power of two. The evaluator calls it with a fetch round's size
+  /// before committing the round, so a round reallocates at most once.
+  void MakeRoomFor(std::size_t count);
+
   const std::vector<AccessRecord>& records() const { return records_; }
   std::size_t total_queries() const { return records_.size(); }
   std::size_t QueriesTo(const std::string& source) const;

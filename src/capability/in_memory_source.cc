@@ -44,36 +44,38 @@ Result<relational::Relation> InMemorySource::Execute(
   }
   ValueDictionaryPtr out_dict =
       query.dict != nullptr ? query.dict : std::make_shared<ValueDictionary>();
-  relational::Relation out(view_.schema(), out_dict);
-  std::vector<std::size_t> columns(query.positions.begin(),
-                                   query.positions.end());
-  relational::IdRow key;
-  key.reserve(query.ids.size());
+  relational::Relation out(view_.schema(), std::move(out_dict));
+  columns_.assign(query.positions.begin(), query.positions.end());
   if (data_.dict_ptr() == query.dict) {
     // The source data already encodes against the caller's dictionary:
     // the whole answer path is id-to-id.
-    key.assign(query.ids.begin(), query.ids.end());
-    relational::IdRow row;
-    data_.ProbeEachIds(columns, key, [&](std::size_t pos) {
-      data_.GatherRowIds(pos, &row);
-      out.InsertIdsUnsafe(row);
+    key_.assign(query.ids.begin(), query.ids.end());
+    data_.ProbeEachIds(columns_, key_, [&](std::size_t pos) {
+      data_.GatherRowIds(pos, &row_);
+      out.InsertIdsUnsafe(row_);
       return true;
     });
     return out;
   }
   // Translate the session-encoded key into the source's private
   // dictionary; a value this source never stored cannot match any tuple.
+  key_.clear();
   for (std::size_t i = 0; i < query.ids.size(); ++i) {
     ValueId local;
     if (!data_.dict().Lookup(query.dict->Get(query.ids[i]), &local)) {
       return out;
     }
-    key.push_back(local);
+    key_.push_back(local);
   }
-  data_.ProbeEachIds(columns, key, [&](std::size_t pos) {
+  row_.resize(view_.schema().arity());
+  data_.ProbeEachIds(columns_, key_, [&](std::size_t pos) {
     // The single Value→id translation of the interned execution path:
-    // returned tuples are interned into the caller's dictionary here.
-    out.InsertUnsafe(data_.DecodeRow(pos));
+    // returned tuples are interned into the caller's dictionary here, in
+    // column order.
+    for (std::size_t c = 0; c < row_.size(); ++c) {
+      row_[c] = out.dict().Intern(data_.dict().Get(data_.IdAt(pos, c)));
+    }
+    out.InsertIdsUnsafe(row_);
     return true;
   });
   return out;

@@ -4,6 +4,7 @@
 #include <memory>
 #include <mutex>
 #include <utility>
+#include <vector>
 
 #include "capability/source.h"
 
@@ -43,6 +44,13 @@ class InMemorySource : public Source {
   /// Held indirectly so the source stays movable (factories return by
   /// value).
   std::unique_ptr<std::mutex> mutex_ = std::make_unique<std::mutex>();
+  /// Probe scratch, reused by every call under `mutex_`: the bound
+  /// columns, the key in `data_`'s encoding, and one answer row. Once
+  /// they have grown to the view's arity, a query that matches nothing
+  /// allocates nothing.
+  std::vector<std::size_t> columns_;
+  relational::IdRow key_;
+  relational::IdRow row_;
 };
 
 }  // namespace limcap::capability

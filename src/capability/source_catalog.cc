@@ -11,6 +11,7 @@ Status SourceCatalog::Register(std::unique_ptr<Source> source) {
   }
   fingerprint_ ^= CatalogSlotFingerprint(source->view(), sources_.size());
   by_name_.emplace(name, sources_.size());
+  views_.push_back(source->view());
   sources_.push_back(std::move(source));
   return Status::OK();
 }
@@ -20,8 +21,9 @@ Status SourceCatalog::Deregister(const std::string& name) {
   if (it == by_name_.end()) {
     return Status::NotFound("no source view named " + name);
   }
-  sources_.erase(sources_.begin() +
-                 static_cast<std::ptrdiff_t>(it->second));
+  const auto slot = static_cast<std::ptrdiff_t>(it->second);
+  sources_.erase(sources_.begin() + slot);
+  views_.erase(views_.begin() + slot);
   // Every later view moved down one slot: rebuild the index and recompute
   // the fingerprint from scratch (membership changes are rare next to
   // lookups; O(n) here keeps Register at one XOR).
@@ -38,18 +40,18 @@ void SourceCatalog::RegisterUnsafe(std::unique_ptr<Source> source) {
   if (!Register(std::move(source)).ok()) std::abort();
 }
 
-std::vector<SourceView> SourceCatalog::Views() const {
-  std::vector<SourceView> views;
-  views.reserve(sources_.size());
-  for (const auto& source : sources_) views.push_back(source->view());
-  return views;
-}
-
 std::vector<std::string> SourceCatalog::ViewNames() const {
   std::vector<std::string> names;
   names.reserve(sources_.size());
   for (const auto& source : sources_) names.push_back(source->view().name());
   return names;
+}
+
+std::optional<std::size_t> SourceCatalog::IndexOf(
+    const std::string& name) const {
+  auto it = by_name_.find(name);
+  if (it == by_name_.end()) return std::nullopt;
+  return it->second;
 }
 
 Result<Source*> SourceCatalog::Find(const std::string& name) const {

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -48,14 +49,18 @@ class SourceCatalog {
 
   std::size_t size() const { return sources_.size(); }
 
-  /// Views in registration order.
-  std::vector<SourceView> Views() const;
+  /// Views in registration order, kept up to date by Register and
+  /// Deregister.
+  const std::vector<SourceView>& Views() const { return views_; }
   /// View names in registration order.
   std::vector<std::string> ViewNames() const;
 
   bool Contains(const std::string& name) const {
     return by_name_.count(name) > 0;
   }
+
+  /// Registration index of the view named `name`, or nullopt.
+  std::optional<std::size_t> IndexOf(const std::string& name) const;
 
   Result<Source*> Find(const std::string& name) const;
   Result<const SourceView*> FindView(const std::string& name) const;
@@ -70,6 +75,8 @@ class SourceCatalog {
 
  private:
   std::vector<std::unique_ptr<Source>> sources_;
+  /// Each source's view, parallel to `sources_`.
+  std::vector<SourceView> views_;
   std::unordered_map<std::string, std::size_t> by_name_;
   uint64_t fingerprint_ = kEmptyCatalogFingerprint;
 };

@@ -7,6 +7,8 @@
 
 namespace limcap::capability {
 
+const std::vector<BindingPattern> SourceView::kNoTemplates;
+
 namespace {
 
 AttributeSet PositionsToAttributes(const relational::Schema& schema,
@@ -100,12 +102,12 @@ AttributeSet SourceView::FreeAttributes() const { return FreeAttributes(0); }
 
 AttributeSet SourceView::BoundAttributes(std::size_t template_index) const {
   return PositionsToAttributes(schema_,
-                               templates_[template_index].BoundPositions());
+                               templates()[template_index].BoundPositions());
 }
 
 AttributeSet SourceView::FreeAttributes(std::size_t template_index) const {
   return PositionsToAttributes(schema_,
-                               templates_[template_index].FreePositions());
+                               templates()[template_index].FreePositions());
 }
 
 bool SourceView::RequirementsSatisfiedBy(const AttributeSet& bound) const {
@@ -114,9 +116,9 @@ bool SourceView::RequirementsSatisfiedBy(const AttributeSet& bound) const {
 
 std::optional<std::size_t> SourceView::SatisfiedTemplate(
     const AttributeSet& bound) const {
-  for (std::size_t t = 0; t < templates_.size(); ++t) {
+  for (std::size_t t = 0; t < templates().size(); ++t) {
     bool satisfied = true;
-    for (std::size_t i : templates_[t].BoundPositions()) {
+    for (std::size_t i : templates()[t].BoundPositions()) {
       if (bound.count(schema_.attribute(i)) == 0) {
         satisfied = false;
         break;
@@ -129,7 +131,7 @@ std::optional<std::size_t> SourceView::SatisfiedTemplate(
 
 std::string SourceView::ToString() const {
   return name_ + schema_.ToString() + " [" +
-         JoinMapped(templates_, "|",
+         JoinMapped(templates(), "|",
                     [](const BindingPattern& p) { return p.ToString(); }) +
          "]";
 }

@@ -2,6 +2,7 @@
 #define LIMCAP_CAPABILITY_SOURCE_VIEW_H_
 
 #include <map>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -58,9 +59,11 @@ class SourceView {
   const relational::Schema& schema() const { return schema_; }
 
   /// The primary (first) template.
-  const BindingPattern& pattern() const { return templates_.front(); }
-  const std::vector<BindingPattern>& templates() const { return templates_; }
-  bool has_multiple_templates() const { return templates_.size() > 1; }
+  const BindingPattern& pattern() const { return templates().front(); }
+  const std::vector<BindingPattern>& templates() const {
+    return templates_ != nullptr ? *templates_ : kNoTemplates;
+  }
+  bool has_multiple_templates() const { return templates().size() > 1; }
 
   /// A(v): all attributes.
   AttributeSet Attributes() const;
@@ -93,11 +96,17 @@ class SourceView {
              std::vector<BindingPattern> templates)
       : name_(std::move(name)),
         schema_(std::move(schema)),
-        templates_(std::move(templates)) {}
+        templates_(std::make_shared<const std::vector<BindingPattern>>(
+            std::move(templates))) {}
+
+  static const std::vector<BindingPattern> kNoTemplates;
 
   std::string name_;
   relational::Schema schema_;
-  std::vector<BindingPattern> templates_;
+  /// Immutable and shared, like the schema's attributes: a copy of the
+  /// view (the catalog keeps one per registered source) allocates
+  /// nothing for them. Null only in a default-constructed view.
+  std::shared_ptr<const std::vector<BindingPattern>> templates_;
 };
 
 }  // namespace limcap::capability

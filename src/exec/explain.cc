@@ -217,7 +217,7 @@ Result<ExplainReport> Explain(const ExplainRequest& request) {
     LIMCAP_ASSIGN_OR_RETURN(report.answer,
                             answerer.Answer(report.query, options));
   }
-  const std::vector<capability::SourceView> views = parsed.catalog.Views();
+  const std::vector<capability::SourceView>& views = parsed.catalog.Views();
   const planner::DomainMap domains;
   ExplainRenderInputs render;
   render.answer = &report.answer;

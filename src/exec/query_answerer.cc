@@ -215,8 +215,9 @@ Result<AnswerReport> QueryAnswerer::RunPipeline(
         seeded.insert(attrs.begin(), attrs.end());
       }
     }
-    // One snapshot of the catalog serves planning, Π(Q, V) and the gate.
-    const std::vector<capability::SourceView> views = catalog_->Views();
+    // The catalog's views, by reference, serve planning, Π(Q, V) and the
+    // gate (the catalog does not change during an answer).
+    const std::vector<capability::SourceView>& views = catalog_->Views();
     LIMCAP_ASSIGN_OR_RETURN(
         planner::PlanResult planned,
         planner::PlanQuery(query, views, domains_, session_options.builder,

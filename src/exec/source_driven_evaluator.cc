@@ -1,7 +1,9 @@
 #include "exec/source_driven_evaluator.h"
 
 #include <algorithm>
+#include <bit>
 #include <functional>
+#include <limits>
 #include <map>
 #include <memory>
 #include <set>
@@ -152,8 +154,18 @@ Result<ExecResult> SourceDrivenEvaluator::Execute(
   // binding shape), with spec_to_channel mapping the fetchable subset.
   std::vector<analysis::DynamicChannelInfo> channels;
   std::vector<std::size_t> spec_to_channel;
-  for (const std::string& name : catalog_->ViewNames()) {
-    if (store.FindPredicate(name) == kNoPredicate) continue;
+  // The views are the program's predicates that name a catalog view (a
+  // view named like a domain predicate still counts), in registration
+  // order: spec order is frontier order.
+  std::vector<std::pair<std::size_t, PredicateId>> read_views;
+  for (PredicateId p = 0; p < store.NumPredicates(); ++p) {
+    if (auto index = catalog_->IndexOf(store.PredicateName(p))) {
+      read_views.emplace_back(*index, p);
+    }
+  }
+  std::sort(read_views.begin(), read_views.end());
+  for (const auto& [index, view_predicate] : read_views) {
+    const std::string& name = store.PredicateName(view_predicate);
     LIMCAP_ASSIGN_OR_RETURN(Source * source, catalog_->Find(name));
     const capability::SourceView& view = source->view();
     auto shared_view = std::make_shared<const capability::SourceView>(view);
@@ -178,8 +190,7 @@ Result<ExecResult> SourceDrivenEvaluator::Execute(
       FetchSpec spec;
       spec.source = source;
       spec.view = shared_view;
-      // Evaluator::Create declared every program predicate.
-      spec.view_predicate = store.FindPredicate(name);
+      spec.view_predicate = view_predicate;
       const capability::BindingPattern& pattern = view.templates()[t];
       for (std::size_t i = 0; i < pattern.arity(); ++i) {
         if (pattern.IsBound(i)) {
@@ -293,18 +304,40 @@ Result<ExecResult> SourceDrivenEvaluator::Execute(
   std::vector<std::pair<std::size_t, std::size_t>> delta_ends;
   std::vector<ValueId> combo;
 
+  // Sets the spec's extents to its bound domains' sizes and returns the
+  // size of its delta, the combos outside the watermark box: what
+  // collect_delta emits at most (the asked-set may hold some). Extents
+  // shorter than the bound positions mean some domain is empty, so
+  // nothing is formable. Captures sizes, not row views: later inserts may
+  // reallocate arenas.
+  auto measure_delta = [&](FetchSpec& spec) -> std::size_t {
+    spec.extents.clear();
+    if (spec.bound_domains.empty()) return spec.swept ? 0 : 1;
+    std::size_t box = 1;
+    std::size_t asked_box = 1;
+    bool overflow = false;
+    for (std::size_t i = 0; i < spec.bound_domains.size(); ++i) {
+      const PredicateId domain = spec.bound_domains[i];
+      if (domain == kNoPredicate || store.Count(domain) == 0) return 0;
+      const std::size_t extent = store.Count(domain);
+      spec.extents.push_back(extent);
+      overflow = overflow || box > std::numeric_limits<std::size_t>::max() /
+                                       extent;
+      box *= extent;
+      asked_box *= spec.watermarks[i];
+    }
+    // A box past size_t could never be enumerated; reserve nothing for it.
+    return overflow ? 0 : box - asked_box;
+  };
+
   // Appends the delta of `spec_index` — its formable combos outside the
-  // watermark box and the asked-set — to the frontier. Pure reads: the
-  // spec's semi-naive state moves only once the frontier is cut to what
-  // will actually be dispatched. Captures sizes, not row views: later
-  // inserts may reallocate arenas.
+  // watermark box and the asked-set — to the frontier, against the
+  // extents measure_delta set. Pure reads: the spec's semi-naive state
+  // moves only once the frontier is cut to what will actually be
+  // dispatched.
   auto collect_delta = [&](std::size_t spec_index) {
     FetchSpec& spec = specs[spec_index];
-    spec.extents.clear();
-    for (PredicateId domain : spec.bound_domains) {
-      if (domain == kNoPredicate || store.Count(domain) == 0) return;
-      spec.extents.push_back(store.Count(domain));
-    }
+    if (spec.extents.size() != spec.bound_domains.size()) return;
     auto emit = [&](std::span<const ValueId> ids) {
       runtime::FetchRequest request;
       request.source = spec.source;
@@ -358,6 +391,14 @@ Result<ExecResult> SourceDrivenEvaluator::Execute(
     requests.clear();
     request_spec.clear();
     delta_ends.clear();
+    // Sized once from the deltas, so the frontier never regrows; to a
+    // power of two, for the reason AccessLog::MakeRoomFor gives.
+    std::size_t frontier_bound = 0;
+    for (FetchSpec& spec : specs) frontier_bound += measure_delta(spec);
+    if (frontier_bound > requests.capacity()) {
+      requests.reserve(std::bit_ceil(frontier_bound));
+      request_spec.reserve(std::bit_ceil(frontier_bound));
+    }
     for (std::size_t s = 0; s < specs.size(); ++s) {
       collect_delta(s);
       // Eager strategy: one query per round, then go derive.
@@ -429,6 +470,7 @@ Result<ExecResult> SourceDrivenEvaluator::Execute(
           dispatcher != nullptr
               ? dispatcher->ExecuteFrontier(requests, probe)
               : scheduler.ExecuteBatch(requests);
+      result.log.MakeRoomFor(requests.size());
       for (std::size_t i = 0; i < requests.size(); ++i) {
         // A dynamically skipped fetch leaves no trace: no source call,
         // no access record, no store insert, no budget spend — only its

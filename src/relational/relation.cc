@@ -19,6 +19,8 @@ bool NeedsGrowth(std::size_t occupied, std::size_t capacity) {
 
 }  // namespace
 
+const std::vector<ValueId> Relation::kNoIds;
+
 void Relation::GatherRowIds(std::size_t row, IdRow* out) const {
   out->resize(columns_.size());
   for (std::size_t c = 0; c < columns_.size(); ++c) {
@@ -81,6 +83,7 @@ void Relation::AppendRow(std::span<const ValueId> row, std::size_t slot) {
     GrowRowSet();
     FindRowSlot(row, &slot);  // recompute the target slot
   }
+  if (num_rows_ == 0) columns_.resize(schema_.arity());
   const std::size_t pos = num_rows_;
   for (std::size_t c = 0; c < columns_.size(); ++c) {
     columns_[c].push_back(row[c]);
@@ -279,7 +282,7 @@ std::vector<std::size_t> Relation::Probe(
 std::vector<ValueId> Relation::ColumnDistinctIds(std::size_t index) const {
   std::vector<ValueId> ids;
   std::vector<uint32_t> seen;  // dense over ids: 1 == seen
-  for (ValueId id : columns_[index]) {
+  for (ValueId id : ColumnIdsAt(index)) {
     if (id >= seen.size()) seen.resize(id + 1, 0);
     if (seen[id] == 0) {
       seen[id] = 1;

@@ -29,7 +29,9 @@ using IdRow = std::vector<ValueId>;
 /// row set, and lazily-built ValueId-keyed column indexes support the
 /// bound-attribute probes that dominate capability-restricted execution —
 /// the same flat encoding the Datalog FactStore uses, so tuples cross the
-/// relational/datalog seam without re-translation.
+/// relational/datalog seam without re-translation. Column storage is
+/// allocated with the first row: an empty relation (a source miss) costs
+/// no heap allocation beyond its dictionary, which callers usually share.
 ///
 /// Dictionary sharing: every relation encodes against the dictionary given
 /// at construction (a fresh private one by default). Relations sharing a
@@ -43,9 +45,7 @@ class Relation {
   explicit Relation(Schema schema)
       : Relation(std::move(schema), std::make_shared<ValueDictionary>()) {}
   Relation(Schema schema, ValueDictionaryPtr dict)
-      : schema_(std::move(schema)),
-        dict_(std::move(dict)),
-        columns_(schema_.arity()) {}
+      : schema_(std::move(schema)), dict_(std::move(dict)) {}
 
   Relation(const Relation&) = default;
   Relation& operator=(const Relation&) = default;
@@ -94,9 +94,9 @@ class Relation {
 
   RowView View(std::size_t row) const { return RowView(this, row); }
 
-  /// One column's ids, in row order.
+  /// One column's ids, in row order (empty on an empty relation).
   const std::vector<ValueId>& ColumnIdsAt(std::size_t col) const {
-    return columns_[col];
+    return columns_.empty() ? kNoIds : columns_[col];
   }
 
   /// Copies row `row`'s ids into `out` (resized to the arity). Reuse `out`
@@ -188,6 +188,7 @@ class Relation {
  private:
   static constexpr uint32_t kEmptySlot = 0xFFFFFFFFu;
   static constexpr std::size_t kNoSlot = ~std::size_t{0};
+  static const std::vector<ValueId> kNoIds;
 
   /// Open-addressing index over one column subset; slots hold the key
   /// hash plus the head/tail of a postings chain. Key bytes are never
@@ -232,7 +233,8 @@ class Relation {
 
   Schema schema_;
   ValueDictionaryPtr dict_;
-  std::vector<std::vector<ValueId>> columns_;  // arity() columns
+  /// arity() columns once the first row is in; empty before.
+  std::vector<std::vector<ValueId>> columns_;
   std::size_t num_rows_ = 0;
   /// Duplicate-detection set: open addressing over row positions.
   std::vector<uint32_t> set_slots_;

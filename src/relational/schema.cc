@@ -7,6 +7,8 @@
 
 namespace limcap::relational {
 
+const std::vector<std::string> Schema::kNoAttributes;
+
 Result<Schema> Schema::Make(std::vector<std::string> attributes) {
   std::unordered_set<std::string> seen;
   for (const std::string& name : attributes) {
@@ -29,30 +31,31 @@ Schema Schema::MakeUnsafe(std::vector<std::string> attributes) {
 }
 
 std::optional<std::size_t> Schema::IndexOf(const std::string& name) const {
-  for (std::size_t i = 0; i < attributes_.size(); ++i) {
-    if (attributes_[i] == name) return i;
+  const std::vector<std::string>& names = attributes();
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    if (names[i] == name) return i;
   }
   return std::nullopt;
 }
 
 std::vector<std::string> Schema::CommonAttributes(const Schema& other) const {
   std::vector<std::string> common;
-  for (const std::string& name : attributes_) {
+  for (const std::string& name : attributes()) {
     if (other.Contains(name)) common.push_back(name);
   }
   return common;
 }
 
 Schema Schema::NaturalJoinSchema(const Schema& other) const {
-  std::vector<std::string> joined = attributes_;
-  for (const std::string& name : other.attributes_) {
+  std::vector<std::string> joined = attributes();
+  for (const std::string& name : other.attributes()) {
     if (!Contains(name)) joined.push_back(name);
   }
   return Schema(std::move(joined));
 }
 
 std::string Schema::ToString() const {
-  return "(" + Join(attributes_, ", ") + ")";
+  return "(" + Join(attributes(), ", ") + ")";
 }
 
 }  // namespace limcap::relational

@@ -1,6 +1,7 @@
 #ifndef LIMCAP_RELATIONAL_SCHEMA_H_
 #define LIMCAP_RELATIONAL_SCHEMA_H_
 
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -13,6 +14,10 @@ namespace limcap::relational {
 /// universal-relation-like assumption (Section 2.1), attribute names are
 /// global: two views sharing an attribute name share its meaning, and
 /// natural joins equate attributes by name.
+///
+/// The attribute list is immutable and shared: copying a schema (every
+/// relation and source answer carries one) bumps a reference count and
+/// allocates nothing. The empty schema holds no list at all.
 class Schema {
  public:
   Schema() = default;
@@ -23,9 +28,13 @@ class Schema {
   /// Convenience for static catalogs; aborts on invalid input.
   static Schema MakeUnsafe(std::vector<std::string> attributes);
 
-  const std::vector<std::string>& attributes() const { return attributes_; }
-  std::size_t arity() const { return attributes_.size(); }
-  const std::string& attribute(std::size_t i) const { return attributes_[i]; }
+  const std::vector<std::string>& attributes() const {
+    return attributes_ != nullptr ? *attributes_ : kNoAttributes;
+  }
+  std::size_t arity() const { return attributes().size(); }
+  const std::string& attribute(std::size_t i) const {
+    return (*attributes_)[i];
+  }
 
   /// Position of `name`, or nullopt.
   std::optional<std::size_t> IndexOf(const std::string& name) const;
@@ -40,8 +49,11 @@ class Schema {
   /// followed by `other`'s attributes not already present.
   Schema NaturalJoinSchema(const Schema& other) const;
 
+  /// Equal attribute lists; schemas sharing one list compare without
+  /// reading it.
   bool operator==(const Schema& other) const {
-    return attributes_ == other.attributes_;
+    return attributes_ == other.attributes_ ||
+           attributes() == other.attributes();
   }
 
   /// "(A, B, C)".
@@ -49,9 +61,14 @@ class Schema {
 
  private:
   explicit Schema(std::vector<std::string> attributes)
-      : attributes_(std::move(attributes)) {}
+      : attributes_(attributes.empty()
+                        ? nullptr
+                        : std::make_shared<const std::vector<std::string>>(
+                              std::move(attributes))) {}
 
-  std::vector<std::string> attributes_;
+  static const std::vector<std::string> kNoAttributes;
+
+  std::shared_ptr<const std::vector<std::string>> attributes_;
 };
 
 }  // namespace limcap::relational

@@ -127,7 +127,7 @@ Result<ReplayRunReport> ReplayArtifactData(const ReplayArtifact& artifact,
   }
   report.bundle = std::move(bundle);
 
-  const std::vector<capability::SourceView> views =
+  const std::vector<capability::SourceView>& views =
       report.bundle.catalog.Views();
   exec::ExplainRenderInputs render;
   render.answer = &report.answer;

@@ -139,41 +139,22 @@ class CappedStarts {
 
 }  // namespace
 
-/// One distinct (source, query) to actually dispatch. Coalesced duplicate
-/// requests become followers pointing at their leader. Worker threads
-/// write only the outcome block of their own leader; the driver reads it
-/// after the pool region joins (the pool's region barrier publishes the
-/// writes).
+/// One distinct (source, query) to actually dispatch: bookkeeping only.
+/// Coalesced duplicate requests become followers pointing at their
+/// leader, and a leader's outcome goes straight into its own request's
+/// FetchResult. Worker threads write only their own leader and result;
+/// the driver reads them after the pool region joins (the pool's region
+/// barrier publishes the writes).
 struct FetchScheduler::Leader {
   std::size_t request_index = 0;
-  capability::Source* source = nullptr;
   const SourceState* state = nullptr;
-  /// The query to dispatch: the request's own, session-encoded, under
-  /// serial execution; `private_query` under concurrent execution.
-  const capability::SourceQuery* query = nullptr;
-  /// Concurrent execution's clone of the request's query on a private
-  /// dictionary (workers must never intern into the session dictionary).
-  capability::SourceQuery private_query;
-  uint64_t jitter_seed = 0;
   bool allowed = true;   ///< false: failed fast by the circuit breaker
   bool executed = false; ///< false: skipped (breaker, or stop_on_error)
-  // Adaptive hints, copied from the FetchRequest (inert by default).
-  double hedge_delay_ms = std::numeric_limits<double>::infinity();
-  double batch_discount_ms = 0;
   bool hedged = false;
   bool hedge_win = false;
-  /// Value-level identity for FetchGovernor cross-query coalescing;
-  /// empty when no governor is coalescing this batch.
-  std::string cross_key;
   /// Set by the worker when the governor answered this fetch with
   /// another query's identical in-flight source call.
   bool cross_coalesced = false;
-  /// Per-attempt capture, filled by ExecuteLeader when a recorder is
-  /// wired in (options_.recorder); flushed by the driver at the merge.
-  std::vector<FetchRecorder::Attempt> recorded;
-
-  // Outcome block, written by ExecuteLeader.
-  Result<relational::Relation> tuples = Status::Internal("not executed");
   std::size_t attempts = 0;
   std::size_t retries = 0;
   std::size_t timeouts = 0;
@@ -182,6 +163,36 @@ struct FetchScheduler::Leader {
   // Timeline placement, assigned by SimulateTimeline on the driver.
   double start_ms = 0;
   double finish_ms = 0;
+};
+
+/// One ExecuteBatch call: its requests and results, the leaders, and the
+/// side arrays, parallel to `leaders`, that only some modes fill (each is
+/// empty unless its mode is on).
+struct FetchScheduler::Batch {
+  Batch(const std::vector<FetchRequest>& batch_requests,
+        std::vector<FetchResult>& batch_results)
+      : requests(batch_requests), results(batch_results) {}
+
+  const std::vector<FetchRequest>& requests;
+  std::vector<FetchResult>& results;
+  std::vector<Leader> leaders;
+  /// Concurrent dispatch: each leader's query cloned onto a private
+  /// dictionary (workers must never intern into the session dictionary).
+  std::vector<capability::SourceQuery> private_queries;
+  /// Cross-query coalescing: each leader's value-level identity for the
+  /// FetchGovernor.
+  std::vector<std::string> cross_keys;
+  /// Recorder on: each leader's per-attempt capture, filled by
+  /// ExecuteLeader and flushed by the driver at the merge.
+  std::vector<std::vector<FetchRecorder::Attempt>> recorded;
+
+  /// The query leader `l` dispatches: its request's own, session-encoded,
+  /// under serial dispatch; the private clone under concurrent dispatch.
+  const capability::SourceQuery& QueryOf(std::size_t l) const {
+    return private_queries.empty()
+               ? requests[leaders[l].request_index].query
+               : private_queries[l];
+  }
 };
 
 FetchScheduler::FetchScheduler(RuntimeOptions options,
@@ -213,23 +224,30 @@ FetchScheduler::SourceState& FetchScheduler::StateFor(
   return state;
 }
 
-void FetchScheduler::ExecuteLeader(Leader* leader) const {
-  const SourceState& state = *leader->state;
+void FetchScheduler::ExecuteLeader(Batch* batch, std::size_t l) const {
+  Leader& leader = batch->leaders[l];
+  const FetchRequest& request = batch->requests[leader.request_index];
+  const capability::SourceQuery& query = batch->QueryOf(l);
+  // Starts as the result's "not executed"; every attempt overwrites it.
+  Result<relational::Relation>& outcome =
+      batch->results[leader.request_index].tuples;
+  std::vector<FetchRecorder::Attempt>* recorded =
+      batch->recorded.empty() ? nullptr : &batch->recorded[l];
+  const SourceState& state = *leader.state;
   const RetryPolicy& policy = *state.policy;
   const std::size_t max_attempts = std::max<std::size_t>(1, policy.max_attempts);
-  Rng rng(leader->jitter_seed);
-  Result<relational::Relation> outcome = Status::Internal("not executed");
+  // Seeded from the session-encoded query under either dispatch mode.
+  Rng rng(JitterSeed(options_.seed, state.name_hash, request.query));
   for (std::size_t attempt = 1; attempt <= max_attempts; ++attempt) {
     if (attempt > 1) {
-      leader->duration_ms += policy.BackoffBeforeAttempt(attempt, rng);
-      ++leader->retries;
+      leader.duration_ms += policy.BackoffBeforeAttempt(attempt, rng);
+      ++leader.retries;
     }
-    ++leader->attempts;
+    ++leader.attempts;
     TimedSource::Timing timing;
     Result<relational::Relation> answer =
-        state.timed != nullptr
-            ? state.timed->ExecuteTimed(*leader->query, &timing)
-            : leader->source->Execute(*leader->query);
+        state.timed != nullptr ? state.timed->ExecuteTimed(query, &timing)
+                               : request.source->Execute(query);
     const double full_latency = state.base_latency_ms + timing.added_latency_ms;
     // Hedged request (timing-model level): once the primary overshoots
     // the learned hedge delay, a duplicate call to the same deterministic
@@ -238,15 +256,15 @@ void FetchScheduler::ExecuteLeader(Leader* leader) const {
     // attempt counts, fault draws, governor permits and breaker
     // accounting are exactly those of the single call.
     double latency = full_latency;
-    if (full_latency > leader->hedge_delay_ms) {
-      leader->hedged = true;
+    if (full_latency > request.hedge_delay_ms) {
+      leader.hedged = true;
       latency = std::min(full_latency,
-                         leader->hedge_delay_ms + state.base_latency_ms);
+                         request.hedge_delay_ms + state.base_latency_ms);
       if (full_latency > policy.deadline_ms && latency <= policy.deadline_ms) {
-        leader->hedge_win = true;
+        leader.hedge_win = true;
       }
     }
-    if (options_.recorder != nullptr) {
+    if (recorded != nullptr) {
       FetchRecorder::Attempt record;
       record.added_latency_ms = timing.added_latency_ms;
       record.discarded = latency > policy.deadline_ms;
@@ -259,13 +277,13 @@ void FetchScheduler::ExecuteLeader(Leader* leader) const {
           record.message = answer.status().message();
         }
       }
-      leader->recorded.push_back(std::move(record));
+      recorded->push_back(std::move(record));
     }
     if (latency > policy.deadline_ms) {
       // The answer (good or bad) arrived past the deadline: discard it.
       // The attempt costs exactly the deadline — the caller hung up then.
-      leader->duration_ms += policy.deadline_ms;
-      ++leader->timeouts;
+      leader.duration_ms += policy.deadline_ms;
+      ++leader.timeouts;
       outcome = Status::DeadlineExceeded(
           "source " + state.name + " attempt " +
           std::to_string(attempt) + " exceeded its " +
@@ -276,17 +294,16 @@ void FetchScheduler::ExecuteLeader(Leader* leader) const {
     // overhead, so this fetch's simulated cost drops by the discount.
     // Timing only — the deadline check above saw the undiscounted
     // latency, and the answer is untouched.
-    leader->duration_ms += std::max(0.0, latency - leader->batch_discount_ms);
+    leader.duration_ms += std::max(0.0, latency - request.batch_discount_ms);
     outcome = std::move(answer);
     if (outcome.ok()) break;
   }
-  leader->tuples = std::move(outcome);
 }
 
-void FetchScheduler::RunLeadersConcurrently(std::vector<Leader>* leaders) {
-  std::vector<Leader*> todo;
-  for (Leader& leader : *leaders) {
-    if (leader.executed) todo.push_back(&leader);
+void FetchScheduler::RunLeadersConcurrently(Batch* batch) {
+  std::vector<std::size_t> todo;
+  for (std::size_t l = 0; l < batch->leaders.size(); ++l) {
+    if (batch->leaders[l].executed) todo.push_back(l);
   }
   if (todo.empty()) return;
   if (pool_ == nullptr) {
@@ -307,7 +324,7 @@ void FetchScheduler::RunLeadersConcurrently(std::vector<Leader>* leaders) {
   std::condition_variable capacity_freed;
   CappedStarts starts(per_source_cap, name_slots_.size());
   for (std::size_t i = 0; i < todo.size(); ++i) {
-    starts.Push(i, todo[i]->state->name_slot);
+    starts.Push(i, batch->leaders[todo[i]].state->name_slot);
   }
   std::size_t num_claimed = 0;
   pool_->RunOnAll([&](std::size_t) {
@@ -323,33 +340,37 @@ void FetchScheduler::RunLeadersConcurrently(std::vector<Leader>* leaders) {
       const auto [pick, slot] = starts.Take();
       ++num_claimed;
       lock.unlock();
-      Leader* job = todo[pick];
-      const std::string& source_name = job->state->name;
+      const std::size_t l = todo[pick];
+      Leader& job = batch->leaders[l];
+      const std::string& source_name = job.state->name;
       FetchGovernor* governor = options_.governor;
-      if (governor != nullptr && !job->cross_key.empty()) {
+      if (governor != nullptr && !batch->cross_keys.empty()) {
         // Server-wide coalescing window: the first query with this
         // value-level source query in flight performs the call; everyone
         // else shares its outcome. Followers hold no governor permits
         // while waiting, so leader → follower waits cannot cycle.
-        FetchGovernor::Ticket ticket = governor->Begin(job->cross_key);
+        const std::string& cross_key = batch->cross_keys[l];
+        Result<relational::Relation>& tuples =
+            batch->results[job.request_index].tuples;
+        FetchGovernor::Ticket ticket = governor->Begin(cross_key);
         if (ticket.leader) {
           governor->Acquire(source_name);
-          ExecuteLeader(job);
+          ExecuteLeader(batch, l);
           governor->Release(source_name);
-          governor->Complete(job->cross_key, ticket, job->tuples);
+          governor->Complete(cross_key, ticket, tuples);
         } else {
-          job->tuples = FetchGovernor::Wait(ticket);
-          job->cross_coalesced = true;
+          tuples = FetchGovernor::Wait(ticket);
+          job.cross_coalesced = true;
           // No attempts/duration: this query did not touch the source.
           // The tuples sit on the other leader's private dictionary
           // (immutable now) and are re-keyed at the ordered merge.
         }
       } else if (governor != nullptr) {
         governor->Acquire(source_name);
-        ExecuteLeader(job);
+        ExecuteLeader(batch, l);
         governor->Release(source_name);
       } else {
-        ExecuteLeader(job);
+        ExecuteLeader(batch, l);
       }
       lock.lock();
       starts.Release(slot);
@@ -421,16 +442,20 @@ double FetchScheduler::SimulateTimeline(std::vector<Leader>* leaders,
   return makespan_end - batch_start;
 }
 
-void FetchScheduler::RecordLeaderFetch(const Leader& leader) const {
+void FetchScheduler::RecordLeaderFetch(Batch* batch, std::size_t l) const {
+  const Leader& leader = batch->leaders[l];
+  const capability::SourceQuery& query = batch->QueryOf(l);
+  const Result<relational::Relation>& tuples =
+      batch->results[leader.request_index].tuples;
   FetchRecorder::Fetch fetch;
   fetch.source = leader.state->name;
-  fetch.positions = leader.query->positions;
-  fetch.values.reserve(leader.query->ids.size());
-  // leader.query's dict is the private per-fetch dictionary under
+  fetch.positions = query.positions;
+  fetch.values.reserve(query.ids.size());
+  // The query's dict is the private per-fetch dictionary under
   // concurrent dispatch and the session dictionary under serial — either
   // way, decoding here yields the canonical value-level query.
-  for (ValueId id : leader.query->ids) {
-    fetch.values.push_back(leader.query->dict->Get(id));
+  for (ValueId id : query.ids) {
+    fetch.values.push_back(query.dict->Get(id));
   }
   if (leader.cross_coalesced) {
     // This fetch made no source call: another query's identical in-flight
@@ -441,22 +466,21 @@ void FetchScheduler::RecordLeaderFetch(const Leader& leader) const {
     // OrderedFingerprint.
     fetch.cross_coalesced = true;
     FetchRecorder::Attempt record;
-    if (leader.tuples.ok()) {
+    if (tuples.ok()) {
       record.ok = true;
-      record.rows = leader.tuples->DecodedRows();
-    } else if (leader.tuples.status().code() ==
-               StatusCode::kDeadlineExceeded) {
+      record.rows = tuples->DecodedRows();
+    } else if (tuples.status().code() == StatusCode::kDeadlineExceeded) {
       // The shared call timed out every attempt; force the same on
       // replay by overshooting any finite deadline.
       record.discarded = true;
       record.added_latency_ms = kForcedTimeoutLatencyMs;
     } else {
-      record.code = leader.tuples.status().code();
-      record.message = leader.tuples.status().message();
+      record.code = tuples.status().code();
+      record.message = tuples.status().message();
     }
     fetch.attempts.push_back(std::move(record));
   } else {
-    fetch.attempts = leader.recorded;
+    fetch.attempts = std::move(batch->recorded[l]);
   }
   options_.recorder->RecordFetch(std::move(fetch));
 }
@@ -475,7 +499,8 @@ std::vector<FetchResult> FetchScheduler::ExecuteBatch(
   // 1. Coalesce identical (source, query) pairs into leaders. All request
   //    queries are session-encoded, so raw positions+ids identify a query;
   //    an open-addressing table over leader ordinals hashes them in place.
-  std::vector<Leader> leaders;
+  Batch batch(requests, results);
+  std::vector<Leader>& leaders = batch.leaders;
   leaders.reserve(requests.size());
   std::vector<std::size_t> leader_of(requests.size(), kNone);
   std::vector<std::size_t> first_seen;
@@ -501,14 +526,9 @@ std::vector<FetchResult> FetchScheduler::ExecuteBatch(
     leader_of[i] = leaders.size();
     Leader& leader = leaders.emplace_back();
     leader.request_index = i;
-    leader.source = request.source;
     leader.state = &StateFor(request.source);
-    leader.query = &request.query;
-    leader.hedge_delay_ms = request.hedge_delay_ms;
-    leader.batch_discount_ms = request.batch_discount_ms;
-    leader.jitter_seed =
-        JitterSeed(options_.seed, leader.state->name_hash, request.query);
   }
+  if (options_.recorder != nullptr) batch.recorded.resize(leaders.size());
 
   // 2. Circuit-breaker admission at the batch-start clock.
   for (Leader& leader : leaders) {
@@ -524,18 +544,22 @@ std::vector<FetchResult> FetchScheduler::ExecuteBatch(
     const bool cross_coalesce =
         options_.governor != nullptr &&
         options_.governor->options().cross_query_coalesce;
-    for (Leader& leader : leaders) {
+    batch.private_queries.resize(leaders.size());
+    if (cross_coalesce) batch.cross_keys.resize(leaders.size());
+    for (std::size_t l = 0; l < leaders.size(); ++l) {
+      Leader& leader = leaders[l];
       if (!leader.allowed) continue;
       leader.executed = true;
+      const FetchRequest& request = requests[leader.request_index];
       if (cross_coalesce) {
         // Value-level key, computed from the session dictionary before
         // the query is cloned below. Only private-dictionary results
         // may be shared across queries (a session dictionary keeps
         // growing while foreign drivers would read it), which is why
         // cross coalescing exists only on this concurrent path.
-        leader.cross_key =
-            CrossQueryKey(leader.state->name, leader.query->positions,
-                          leader.query->ids, *dict_);
+        std::string& cross_key = batch.cross_keys[l];
+        cross_key = CrossQueryKey(leader.state->name, request.query.positions,
+                                  request.query.ids, *dict_);
         // A hedged fetch's *outcome* (kept vs discarded past the
         // deadline) depends on its hedge delay, which is per-query
         // learned state — two queries with different delays can see
@@ -543,29 +567,28 @@ std::vector<FetchResult> FetchScheduler::ExecuteBatch(
         // them apart so a follower only ever inherits an outcome its own
         // hedge configuration would have produced; un-hedged fetches
         // (delay = infinity) keep the pre-hedging key byte for byte.
-        if (leader.hedge_delay_ms !=
+        if (request.hedge_delay_ms !=
             std::numeric_limits<double>::infinity()) {
           char hedge[40];
           std::snprintf(hedge, sizeof(hedge), "\x1fhedge=%a",
-                        leader.hedge_delay_ms);
-          leader.cross_key += hedge;
+                        request.hedge_delay_ms);
+          cross_key += hedge;
         }
       }
       auto private_dict = std::make_shared<ValueDictionary>();
-      leader.private_query.positions = leader.query->positions;
-      leader.private_query.ids.reserve(leader.query->ids.size());
-      for (ValueId id : leader.query->ids) {
-        leader.private_query.ids.push_back(
-            private_dict->Intern(dict_->Get(id)));
+      capability::SourceQuery& private_query = batch.private_queries[l];
+      private_query.positions = request.query.positions;
+      private_query.ids.reserve(request.query.ids.size());
+      for (ValueId id : request.query.ids) {
+        private_query.ids.push_back(private_dict->Intern(dict_->Get(id)));
       }
-      leader.private_query.dict = std::move(private_dict);
-      leader.query = &leader.private_query;
+      private_query.dict = std::move(private_dict);
     }
-    RunLeadersConcurrently(&leaders);
+    RunLeadersConcurrently(&batch);
   } else {
     bool stopped = false;
-    for (Leader& leader : leaders) {
-      if (stopped) continue;
+    for (std::size_t l = 0; l < leaders.size() && !stopped; ++l) {
+      Leader& leader = leaders[l];
       if (!leader.allowed) {
         if (stop_on_error_) stopped = true;
         continue;
@@ -576,12 +599,14 @@ std::vector<FetchResult> FetchScheduler::ExecuteBatch(
         // caps; it cannot share results (they land on the mutable
         // session dictionary, unsafe for foreign readers).
         options_.governor->Acquire(leader.state->name);
-        ExecuteLeader(&leader);
+        ExecuteLeader(&batch, l);
         options_.governor->Release(leader.state->name);
       } else {
-        ExecuteLeader(&leader);
+        ExecuteLeader(&batch, l);
       }
-      if (stop_on_error_ && !leader.tuples.ok()) stopped = true;
+      if (stop_on_error_ && !results[leader.request_index].tuples.ok()) {
+        stopped = true;
+      }
     }
   }
 
@@ -595,7 +620,7 @@ std::vector<FetchResult> FetchScheduler::ExecuteBatch(
   //    session dictionary, record breaker outcomes, build the report. A
   //    follower's leader always precedes it (the leader is the first
   //    occurrence), so a leader's result is final when its followers copy
-  //    it; each leader's own relation moves into its result.
+  //    it; a leader's own outcome is already in its result.
   for (std::size_t i = 0; i < requests.size(); ++i) {
     Leader& leader = leaders[leader_of[i]];
     const std::string& name = leader.state->name;
@@ -626,11 +651,10 @@ std::vector<FetchResult> FetchScheduler::ExecuteBatch(
       continue;
     }
     if (!leader.executed) continue;  // stop_on_error skipped; never read.
-    if (leader.tuples.ok() && leader.tuples->dict_ptr() != dict_) {
-      leader.tuples = leader.tuples->WithDictionary(dict_);
+    if (result.tuples.ok() && result.tuples->dict_ptr() != dict_) {
+      result.tuples = result.tuples->WithDictionary(dict_);
     }
-    if (options_.recorder != nullptr) RecordLeaderFetch(leader);
-    result.tuples = std::move(leader.tuples);
+    if (options_.recorder != nullptr) RecordLeaderFetch(&batch, leader_of[i]);
     const bool ok = result.tuples.ok();
     CircuitBreaker& breaker = *leader.state->breaker;
     if (leader.cross_coalesced) {
@@ -659,7 +683,7 @@ std::vector<FetchResult> FetchScheduler::ExecuteBatch(
     result.duration_ms = leader.duration_ms;
     result.hedged = leader.hedged;
     result.hedge_win = leader.hedge_win;
-    result.batched = leader.batch_discount_ms > 0;
+    result.batched = requests[i].batch_discount_ms > 0;
     if (leader.hedged) {
       ++stats.hedged;
       ++report_.hedged;

@@ -143,6 +143,7 @@ class FetchScheduler {
 
  private:
   struct Leader;
+  struct Batch;
   /// What the scheduler needs of one source, resolved on first sight and
   /// reused for every later fetch to it (see StateFor).
   struct SourceState {
@@ -164,12 +165,13 @@ class FetchScheduler {
   /// The state of `source`, built on its first fetch (calling thread
   /// only; workers read it while the batch runs).
   SourceState& StateFor(capability::Source* source);
-  /// Worker-side: runs one fetch's retry loop against the source.
-  void ExecuteLeader(Leader* leader) const;
-  void RunLeadersConcurrently(std::vector<Leader>* leaders);
-  /// Driver-side: hands one dispatched leader's canonical query and
-  /// attempt history to options_.recorder (which is non-null).
-  void RecordLeaderFetch(const Leader& leader) const;
+  /// Worker-side: runs leader `l`'s retry loop against its source and
+  /// writes the outcome into its request's result.
+  void ExecuteLeader(Batch* batch, std::size_t l) const;
+  void RunLeadersConcurrently(Batch* batch);
+  /// Driver-side: hands leader `l`'s canonical query and attempt history
+  /// to options_.recorder (which is non-null).
+  void RecordLeaderFetch(Batch* batch, std::size_t l) const;
   /// Driver-side: lays the executed leaders on the simulated timeline
   /// under the in-flight caps; returns the batch makespan.
   double SimulateTimeline(std::vector<Leader>* leaders, double batch_start);
