@@ -21,6 +21,7 @@
 
 #include "analysis/analyzer.h"
 #include "analysis/executability.h"
+#include "common/string_util.h"
 #include "exec/query_answerer.h"
 #include "planner/program_builder.h"
 #include "workload/generator.h"
@@ -53,10 +54,10 @@ ChainProgram MakeChainProgram(std::size_t n, std::size_t tuples_per_view) {
   spec.seed = 13;
   ChainProgram setup{GenerateInstance(spec), Query(), {}};
   std::vector<std::string> names;
-  for (std::size_t i = 1; i <= n; ++i) names.push_back("v" + std::to_string(i));
+  for (std::size_t i = 1; i <= n; ++i) names.push_back(limcap::StrCat({"v", std::to_string(i)}));
   setup.query = Query(
       {{"A0", GeneratedInstance::DomainValue("A0", 0)}},
-      {"A" + std::to_string(n)}, {Connection(std::move(names))});
+      {limcap::StrCat({"A", std::to_string(n)})}, {Connection(std::move(names))});
   auto program = limcap::planner::BuildProgram(setup.query,
                                                setup.instance.views,
                                                setup.instance.domains);

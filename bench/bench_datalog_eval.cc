@@ -10,6 +10,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include "common/string_util.h"
 #include "datalog/evaluator.h"
 #include "datalog/parser.h"
 #include "exec/oracle.h"
@@ -123,11 +124,11 @@ void BM_BuildProgram(benchmark::State& state) {
   GeneratedInstance instance = GenerateInstance(spec);
   std::vector<std::string> names;
   for (std::size_t i = 1; i <= spec.num_views; ++i) {
-    names.push_back("v" + std::to_string(i));
+    names.push_back(limcap::StrCat({"v", std::to_string(i)}));
   }
   limcap::planner::Query query(
       {{"A0", GeneratedInstance::DomainValue("A0", 0)}},
-      {"A" + std::to_string(spec.num_views)},
+      {limcap::StrCat({"A", std::to_string(spec.num_views)})},
       {limcap::planner::Connection(names)});
   for (auto _ : state) {
     auto program = limcap::planner::BuildProgram(query, instance.views,
@@ -150,14 +151,14 @@ void BM_FactStoreInsertProbe(benchmark::State& state) {
     limcap::datalog::FactStore store;
     for (int i = 0; i < n; ++i) {
       store
-          .Insert("p", {Value::String("key_" + std::to_string(i % 500)),
-                        Value::String("val_" + std::to_string(i))})
+          .Insert("p", {Value::String(limcap::StrCat({"key_", std::to_string(i % 500)})),
+                        Value::String(limcap::StrCat({"val_", std::to_string(i)}))})
           .ok();
     }
     std::size_t hits = 0;
     for (int k = 0; k < 500; ++k) {
       limcap::ValueId id;
-      if (store.dict().Lookup(Value::String("key_" + std::to_string(k)),
+      if (store.dict().Lookup(Value::String(limcap::StrCat({"key_", std::to_string(k)})),
                               &id)) {
         hits += store.Probe("p", {0}, {id}, store.Count("p")).size();
       }
@@ -175,13 +176,13 @@ void BM_RelationInsertProbe(benchmark::State& state) {
     limcap::relational::Relation relation(
         limcap::relational::Schema::MakeUnsafe({"K", "V"}));
     for (int i = 0; i < n; ++i) {
-      relation.InsertUnsafe({Value::String("key_" + std::to_string(i % 500)),
-                             Value::String("val_" + std::to_string(i))});
+      relation.InsertUnsafe({Value::String(limcap::StrCat({"key_", std::to_string(i % 500)})),
+                             Value::String(limcap::StrCat({"val_", std::to_string(i)}))});
     }
     std::size_t hits = 0;
     for (int k = 0; k < 500; ++k) {
       hits += relation
-                  .Probe({0}, {Value::String("key_" + std::to_string(k))})
+                  .Probe({0}, {Value::String(limcap::StrCat({"key_", std::to_string(k)}))})
                   .size();
     }
     benchmark::DoNotOptimize(hits);
@@ -200,11 +201,11 @@ void BM_ParseProgram(benchmark::State& state) {
   GeneratedInstance instance = GenerateInstance(spec);
   std::vector<std::string> names;
   for (std::size_t i = 1; i <= spec.num_views; ++i) {
-    names.push_back("v" + std::to_string(i));
+    names.push_back(limcap::StrCat({"v", std::to_string(i)}));
   }
   limcap::planner::Query query(
       {{"A0", GeneratedInstance::DomainValue("A0", 0)}},
-      {"A" + std::to_string(spec.num_views)},
+      {limcap::StrCat({"A", std::to_string(spec.num_views)})},
       {limcap::planner::Connection(names)});
   auto program = limcap::planner::BuildProgram(query, instance.views,
                                                instance.domains);

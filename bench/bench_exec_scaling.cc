@@ -5,6 +5,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include "common/string_util.h"
 #include "exec/query_answerer.h"
 #include "workload/generator.h"
 
@@ -30,11 +31,11 @@ ChainSetup MakeChain(std::size_t views, std::size_t tuples,
   ChainSetup setup{GenerateInstance(spec), limcap::planner::Query()};
   std::vector<std::string> names;
   for (std::size_t i = 1; i <= views; ++i) {
-    names.push_back("v" + std::to_string(i));
+    names.push_back(limcap::StrCat({"v", std::to_string(i)}));
   }
   setup.query = limcap::planner::Query(
       {{"A0", GeneratedInstance::DomainValue("A0", 0)}},
-      {"A" + std::to_string(views)},
+      {limcap::StrCat({"A", std::to_string(views)})},
       {limcap::planner::Connection(std::move(names))});
   return setup;
 }

@@ -14,6 +14,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include "common/string_util.h"
 #include "planner/find_rel.h"
 #include "workload/generator.h"
 
@@ -42,10 +43,10 @@ ChainSetup MakeChain(std::size_t n, std::size_t m) {
   spec.seed = 7;
   ChainSetup setup{GenerateInstance(spec), Query()};
   std::vector<std::string> names;
-  for (std::size_t i = 1; i <= m; ++i) names.push_back("v" + std::to_string(i));
+  for (std::size_t i = 1; i <= m; ++i) names.push_back(limcap::StrCat({"v", std::to_string(i)}));
   setup.query = Query(
       {{"A0", GeneratedInstance::DomainValue("A0", 0)}},
-      {"A" + std::to_string(m)}, {Connection(std::move(names))});
+      {limcap::StrCat({"A", std::to_string(m)})}, {Connection(std::move(names))});
   return setup;
 }
 
@@ -103,7 +104,7 @@ void BM_BClosure(benchmark::State& state) {
   ChainSetup setup = MakeChain(n, 4);
   // The last chain attribute backward-chains through the whole catalog —
   // the worst case for b-closure.
-  std::string attribute = "A" + std::to_string(n);
+  std::string attribute = limcap::StrCat({"A", std::to_string(n)});
   for (auto _ : state) {
     auto closure =
         limcap::planner::ComputeBClosure(attribute, setup.instance.views);

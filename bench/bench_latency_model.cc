@@ -7,6 +7,7 @@
 
 #include <cstdio>
 
+#include "common/string_util.h"
 #include "common/text_table.h"
 #include "exec/query_answerer.h"
 #include "paperdata/paper_examples.h"
@@ -73,17 +74,17 @@ int main() {
     auto instance = limcap::workload::GenerateInstance(spec);
     std::vector<std::string> names;
     for (std::size_t i = 1; i <= views; ++i) {
-      names.push_back("v" + std::to_string(i));
+      names.push_back(limcap::StrCat({"v", std::to_string(i)}));
     }
     limcap::planner::Query query(
         {{"A0", limcap::workload::GeneratedInstance::DomainValue("A0", 1)}},
-        {"A" + std::to_string(views)},
+        {limcap::StrCat({"A", std::to_string(views)})},
         {limcap::planner::Connection(std::move(names))});
     limcap::exec::QueryAnswerer answerer(&instance.catalog,
                                          instance.domains);
     auto report = answerer.Answer(query);
     if (report.ok()) {
-      std::string name = "chain x" + std::to_string(views);
+      std::string name = limcap::StrCat({"chain x", std::to_string(views)});
       Report(&table, name.c_str(), report->exec);
     }
   }

@@ -18,6 +18,7 @@
 #include <memory>
 
 #include "capability/in_memory_source.h"
+#include "common/string_util.h"
 #include "common/text_table.h"
 #include "exec/query_answerer.h"
 #include "workload/generator.h"
@@ -58,15 +59,15 @@ Setup MakeSetup(std::size_t distractors) {
   // unoptimized program.
   limcap::Rng rng(4242);
   for (std::size_t d = 0; d < distractors; ++d) {
-    std::string name = "d" + std::to_string(d + 1);
-    std::string private_attribute = "Z" + std::to_string(d + 1);
+    std::string name = limcap::StrCat({"d", std::to_string(d + 1)});
+    std::string private_attribute = limcap::StrCat({"Z", std::to_string(d + 1)});
     SourceView view =
         SourceView::MakeUnsafe(name, {"A2", private_attribute}, "ff");
     limcap::relational::Relation data(view.schema());
     for (int t = 0; t < 40; ++t) {
       data.InsertUnsafe(
-          {Value::String("junk_a2_" + std::to_string(rng.Below(200))),
-           Value::String("z_" + std::to_string(rng.Below(50)))});
+          {Value::String(limcap::StrCat({"junk_a2_", std::to_string(rng.Below(200))})),
+           Value::String(limcap::StrCat({"z_", std::to_string(rng.Below(50))}))});
     }
     setup.instance.views.push_back(view);
     setup.instance.catalog.RegisterUnsafe(std::make_unique<InMemorySource>(
@@ -127,7 +128,7 @@ int main() {
                   std::to_string(full.facts),
                   std::to_string(optimized.facts), full_ms, opt_ms,
                   equal ? "yes" : "NO"});
-    reporter.AddRow("distractors_" + std::to_string(m))
+    reporter.AddRow(limcap::StrCat({"distractors_", std::to_string(m)}))
         .Set("full_queries", double(full.queries))
         .Set("opt_queries", double(optimized.queries))
         .Set("full_facts", double(full.facts))
@@ -135,7 +136,7 @@ int main() {
         .Set("full_ms", full.millis)
         .Set("opt_ms", optimized.millis);
     reporter.Invariant(
-        "answers equal, opt <= full (" + std::to_string(m) + " distractors)",
+        limcap::StrCat({"answers equal, opt <= full (", std::to_string(m), " distractors)"}),
         equal && optimized.queries <= full.queries);
   }
   std::printf("%s\n", table.ToString().c_str());

@@ -12,6 +12,7 @@
 #include <set>
 #include <string>
 
+#include "common/string_util.h"
 #include "common/text_table.h"
 #include "datalog/parser.h"
 #include "exec/baseline_executor.h"
@@ -78,7 +79,7 @@ int main() {
       if (!must_bind.empty()) must_bind += ", ";
       must_bind += attribute;
     }
-    table1.AddRow({"s" + view.name().substr(1),
+    table1.AddRow({limcap::StrCat({"s", view.name().substr(1)}),
                    view.name() + view.schema().ToString(), must_bind});
   }
   std::printf("%s\n", table1.ToString().c_str());
@@ -124,7 +125,7 @@ int main() {
               report->exec.log.ToTable(/*productive_only=*/true).c_str());
   std::set<std::string> productive;
   for (const auto& record : report->exec.log.records()) {
-    if (record.tuples_returned > 0) productive.insert(record.RenderedQuery());
+    if (record.tuples_returned() > 0) productive.insert(record.RenderedQuery());
   }
   Check(productive == std::set<std::string>{
                           "v1(t1, C)", "v1(t2, C)", "v2(S, c2)", "v2(S, c4)",

@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <vector>
 
+#include "common/string_util.h"
 #include "common/text_table.h"
 #include "exec/query_answerer.h"
 #include "workload/generator.h"
@@ -98,7 +99,7 @@ int main() {
                   instances ? 100.0 * fraction_sum[b] / double(instances)
                             : 0.0);
     table.AddRow({std::to_string(budgets[b]), fraction});
-    reporter.AddRow("budget_" + std::to_string(budgets[b]))
+    reporter.AddRow(limcap::StrCat({"budget_", std::to_string(budgets[b])}))
         .Set("budget", double(budgets[b]))
         .Set("avg_fraction",
              instances ? fraction_sum[b] / double(instances) : 0.0);

@@ -37,6 +37,7 @@
 
 #include "capability/source.h"
 #include "capability/source_catalog.h"
+#include "common/string_util.h"
 #include "exec/fingerprint.h"
 #include "mediator/mediator.h"
 #include "mediator/serve_session.h"
@@ -184,7 +185,7 @@ RunResult Drive(const limcap::capability::SourceCatalog& catalog,
 }
 
 void EmitRow(std::size_t workers, const RunResult& run) {
-  const std::string name = "workers_" + std::to_string(workers);
+  const std::string name = limcap::StrCat({"workers_", std::to_string(workers)});
   std::printf(
       "{\"bench\": \"serve/%s\", \"completed\": %llu, \"failed\": %llu, "
       "\"wall_ms\": %.1f, \"qps\": %.1f, \"p50_ms\": %.3f, "

@@ -62,7 +62,7 @@ std::uint64_t SaturatingAdd(std::uint64_t a, std::uint64_t b) {
 template <typename Strings>
 std::string JsonStrings(const Strings& items) {
   return JoinMapped(items, ",", [](const std::string& item) {
-    return "\"" + JsonEscape(item) + "\"";
+    return StrCat({"\"", JsonEscape(item), "\""});
   });
 }
 

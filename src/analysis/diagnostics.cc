@@ -1,4 +1,5 @@
 #include "analysis/diagnostics.h"
+#include "common/string_util.h"
 
 #include <algorithm>
 #include <numeric>
@@ -140,7 +141,7 @@ std::string DiagnosticBag::RenderText() const {
   std::string out;
   for (const Diagnostic& d : diagnostics_) {
     out += SeverityToString(d.severity);
-    out += "[" + CodeName(d.code) + "] " + d.message + "\n";
+    out += StrCat({"[", CodeName(d.code), "] ", d.message, "\n"});
     const Location& loc = d.location;
     if (loc.rule != Location::kNone || !loc.context.empty()) {
       out += "  --> ";
@@ -181,7 +182,7 @@ std::string DiagnosticBag::RenderJson() const {
     out += ",\"notes\":[";
     for (std::size_t i = 0; i < d.notes.size(); ++i) {
       if (i > 0) out += ",";
-      out += "\"" + JsonEscape(d.notes[i]) + "\"";
+      out += StrCat({"\"", JsonEscape(d.notes[i]), "\""});
     }
     out += "]}";
   }

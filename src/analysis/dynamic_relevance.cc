@@ -24,7 +24,7 @@ struct ComboBinding {
 };
 
 ComboBinding BindCombo(const Atom& atom, const DynamicChannelInfo& channel,
-                       const std::vector<ValueId>& combo,
+                       std::span<const ValueId> combo,
                        const ValueDictionary& dict) {
   ComboBinding binding;
   for (std::size_t i = 0; i < channel.bound_positions.size(); ++i) {
@@ -259,7 +259,7 @@ struct TaintAnalysis {
   /// channels and guarded rule firings. False = structural refusal (the
   /// EDB feeds a rule shape outside the built-program family).
   bool Compute(const DynamicChannelInfo& channel,
-               const std::vector<ValueId>& combo,
+               std::span<const ValueId> combo,
                std::set<std::string>* tainted) const {
     const std::string alpha = channel.view + options.alpha_suffix;
     const ValueDictionary& dict = store_dict;
@@ -340,7 +340,7 @@ struct TaintAnalysis {
 }  // namespace
 
 std::optional<SkipCertificate> DynamicRelevanceChecker::TrySkip(
-    std::size_t channel_index, const std::vector<ValueId>& combo) {
+    std::size_t channel_index, std::span<const ValueId> combo) {
   if (!round_begun_ || channel_index >= channels_.size()) return std::nullopt;
   const DynamicChannelInfo& channel = channels_[channel_index];
   if (combo.size() != channel.bound_positions.size()) return std::nullopt;

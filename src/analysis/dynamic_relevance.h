@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <optional>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -127,7 +128,7 @@ class DynamicRelevanceChecker {
   /// Tries to certify that the query (channels[channel_index], combo) is
   /// skippable. nullopt = cannot certify, the fetch must go out.
   std::optional<SkipCertificate> TrySkip(std::size_t channel_index,
-                                         const std::vector<ValueId>& combo);
+                                         std::span<const ValueId> combo);
 
   /// Predicates no pending fetch can grow this round (extents final).
   const std::set<std::string>& frozen() const { return frozen_; }

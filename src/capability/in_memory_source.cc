@@ -1,5 +1,6 @@
 #include "capability/in_memory_source.h"
 
+#include <algorithm>
 #include <cstdlib>
 
 namespace limcap::capability {
@@ -59,12 +60,21 @@ Result<relational::Relation> InMemorySource::Execute(
   }
   // Translate the session-encoded key into the source's private
   // dictionary; a value this source never stored cannot match any tuple.
+  // The memo answers every id it has seen before without hashing a Value.
   key_.clear();
-  for (std::size_t i = 0; i < query.ids.size(); ++i) {
-    ValueId local;
-    if (!data_.dict().Lookup(query.dict->Get(query.ids[i]), &local)) {
-      return out;
+  TranslationMemo* memo = query.ids.empty() ? nullptr : &MemoFor(*query.dict);
+  for (ValueId id : query.ids) {
+    if (id >= memo->local.size()) {
+      // Sized to the dictionary, so ids it has handed out never regrow it.
+      memo->local.resize(std::max<std::size_t>(query.dict->size(), id + 1),
+                         kUnknown);
     }
+    ValueId& local = memo->local[id];
+    if (local == kUnknown &&
+        !data_.dict().Lookup(query.dict->Get(id), &local)) {
+      local = kAbsent;
+    }
+    if (local == kAbsent) return out;
     key_.push_back(local);
   }
   row_.resize(view_.schema().arity());
@@ -79,6 +89,23 @@ Result<relational::Relation> InMemorySource::Execute(
     return true;
   });
   return out;
+}
+
+InMemorySource::TranslationMemo& InMemorySource::MemoFor(
+    const ValueDictionary& dict) {
+  ++memo_clock_;
+  TranslationMemo* victim = &memos_[0];
+  for (TranslationMemo& memo : memos_) {
+    if (memo.dict_identity == dict.identity()) {
+      memo.last_use = memo_clock_;
+      return memo;
+    }
+    if (memo.last_use < victim->last_use) victim = &memo;
+  }
+  victim->dict_identity = dict.identity();
+  victim->last_use = memo_clock_;
+  victim->local.clear();
+  return *victim;
 }
 
 }  // namespace limcap::capability

@@ -1,6 +1,8 @@
 #ifndef LIMCAP_CAPABILITY_IN_MEMORY_SOURCE_H_
 #define LIMCAP_CAPABILITY_IN_MEMORY_SOURCE_H_
 
+#include <array>
+#include <cstdint>
 #include <memory>
 #include <mutex>
 #include <utility>
@@ -39,6 +41,24 @@ class InMemorySource : public Source {
   InMemorySource(SourceView view, relational::Relation data)
       : view_(std::move(view)), data_(std::move(data)) {}
 
+  /// The translation memo of one caller dictionary: `local[id]` is the
+  /// id `data_`'s dictionary gives the caller's value `id`, kAbsent when
+  /// it holds no such value, kUnknown when not looked up yet. Both
+  /// dictionaries only append and `data_` never changes, so an entry
+  /// stays true for as long as the caller's dictionary keeps its
+  /// identity (ValueDictionary::identity()), which never repeats.
+  struct TranslationMemo {
+    uint64_t dict_identity = 0;  ///< 0: slot unused
+    uint64_t last_use = 0;
+    std::vector<ValueId> local;
+  };
+  static constexpr ValueId kUnknown = ~ValueId{0};
+  static constexpr ValueId kAbsent = kUnknown - 1;
+
+  /// The memo of `dict`, taking over the least recently used slot when
+  /// `dict` has none.
+  TranslationMemo& MemoFor(const ValueDictionary& dict);
+
   SourceView view_;
   relational::Relation data_;
   /// Held indirectly so the source stays movable (factories return by
@@ -51,6 +71,11 @@ class InMemorySource : public Source {
   std::vector<std::size_t> columns_;
   relational::IdRow key_;
   relational::IdRow row_;
+  /// Memos of the last few caller dictionaries (under `mutex_`): a few,
+  /// so serve workers answering through one source in alternation keep
+  /// theirs.
+  std::array<TranslationMemo, 4> memos_;
+  uint64_t memo_clock_ = 0;
 };
 
 }  // namespace limcap::capability

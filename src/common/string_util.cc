@@ -4,6 +4,15 @@
 
 namespace limcap {
 
+std::string StrCat(std::initializer_list<std::string_view> parts) {
+  std::size_t size = 0;
+  for (std::string_view part : parts) size += part.size();
+  std::string out;
+  out.reserve(size);
+  for (std::string_view part : parts) out.append(part);
+  return out;
+}
+
 std::string Join(const std::vector<std::string>& parts, std::string_view sep) {
   return JoinMapped(parts, sep, [](const std::string& s) { return s; });
 }

@@ -1,11 +1,19 @@
 #ifndef LIMCAP_COMMON_STRING_UTIL_H_
 #define LIMCAP_COMMON_STRING_UTIL_H_
 
+#include <initializer_list>
 #include <string>
 #include <string_view>
 #include <vector>
 
 namespace limcap {
+
+/// Concatenates `parts` into one string, sized once. Use it where a
+/// literal would lead a `+` chain (`"v" + std::to_string(i)`): that
+/// operator inserts the literal at the front of its right operand, and
+/// GCC 12 reports a false -Wrestrict on the insert once Release builds
+/// inline it.
+std::string StrCat(std::initializer_list<std::string_view> parts);
 
 /// Joins the elements of `parts` with `sep`, calling `ToString`-like
 /// stringification via std::string conversion of each element.

@@ -2,6 +2,11 @@
 
 namespace limcap {
 
+uint64_t ValueDictionary::NextIdentity() {
+  static std::atomic<uint64_t> next{1};
+  return next.fetch_add(1, std::memory_order_relaxed);
+}
+
 ValueId ValueDictionary::Intern(const Value& value) {
   encodes_.fetch_add(1, std::memory_order_relaxed);
   auto it = ids_.find(value);

@@ -38,11 +38,15 @@ class ValueDictionary {
 
   ValueDictionary(const ValueDictionary&) = delete;
   ValueDictionary& operator=(const ValueDictionary&) = delete;
+  /// A move hands the contents over; both sides take fresh identities,
+  /// since neither keeps the id→value mapping its old identity named.
   ValueDictionary(ValueDictionary&& other) noexcept
       : ids_(std::move(other.ids_)),
         values_(std::move(other.values_)),
         encodes_(other.encodes_.load(std::memory_order_relaxed)),
-        decodes_(other.decodes_.load(std::memory_order_relaxed)) {}
+        decodes_(other.decodes_.load(std::memory_order_relaxed)) {
+    other.identity_ = NextIdentity();
+  }
   ValueDictionary& operator=(ValueDictionary&& other) noexcept {
     ids_ = std::move(other.ids_);
     values_ = std::move(other.values_);
@@ -50,8 +54,19 @@ class ValueDictionary {
                    std::memory_order_relaxed);
     decodes_.store(other.decodes_.load(std::memory_order_relaxed),
                    std::memory_order_relaxed);
+    identity_ = NextIdentity();
+    other.identity_ = NextIdentity();
     return *this;
   }
+
+  /// A process-unique, never-zero tag of this dictionary's id→value
+  /// mapping. Unlike the object's address it never repeats: a dictionary
+  /// created where a freed one lived gets a new identity. Interning only
+  /// appends, so everything cached under an identity about the ids it
+  /// has handed out stays true while the identity lasts; a move gives
+  /// both sides new ones. Memos keyed by it (InMemorySource's
+  /// translation memo) need no invalidation hook.
+  uint64_t identity() const { return identity_; }
 
   /// Returns the id for `value`, interning it if unseen.
   ValueId Intern(const Value& value);
@@ -94,8 +109,11 @@ class ValueDictionary {
   }
 
  private:
+  static uint64_t NextIdentity();
+
   std::unordered_map<Value, ValueId> ids_;
   std::vector<Value> values_;
+  uint64_t identity_ = NextIdentity();
   mutable std::atomic<uint64_t> encodes_{0};
   mutable std::atomic<uint64_t> decodes_{0};
 };

@@ -83,7 +83,7 @@ std::string Rule::ToString() const {
 std::string Rule::CanonicalString() const {
   std::map<std::string, std::string> renaming;
   for (const std::string& var : Variables()) {
-    renaming.emplace(var, "V" + std::to_string(renaming.size()));
+    renaming.emplace(var, StrCat({"V", std::to_string(renaming.size())}));
   }
   auto rename_atom = [&renaming](const Atom& atom) {
     Atom out = atom;

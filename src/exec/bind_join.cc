@@ -10,7 +10,6 @@ namespace limcap::exec {
 
 namespace {
 
-using capability::AccessRecord;
 using capability::AttributeSet;
 using capability::Source;
 using capability::SourceQuery;
@@ -89,6 +88,7 @@ Status ExecuteBindJoinChain(const capability::SourceCatalog& catalog,
 
     // Issue one source query per distinct binding combination — all id
     // comparisons, no value materialization.
+    const uint32_t channel = log->AddChannel(shared_view, bound_positions, dict);
     Relation fetched(view.schema(), dict);
     std::set<IdRow> asked;
     IdRow key(key_columns.size());
@@ -116,11 +116,7 @@ Status ExecuteBindJoinChain(const capability::SourceCatalog& catalog,
         tuples = tuples.WithDictionary(dict);
       }
 
-      AccessRecord record;
-      record.source = view_name;
-      record.query = query;
-      record.view = shared_view;
-      record.tuples_returned = tuples.size();
+      log->Append(channel, /*round=*/0, query.ids, tuples.size());
       for (std::size_t t = 0; t < tuples.size(); ++t) {
         // Enforce input assignments on the view's other attributes (the
         // source query only bound B(v)).
@@ -134,12 +130,8 @@ Status ExecuteBindJoinChain(const capability::SourceCatalog& catalog,
         }
         if (!matches) continue;
         tuples.GatherRowIds(t, &row_ids);
-        if (fetched.InsertIdsUnsafe(row_ids)) {
-          ++record.new_tuples;
-          record.returned_ids.push_back(row_ids);
-        }
+        if (fetched.InsertIdsUnsafe(row_ids)) log->AddReturned(row_ids);
       }
-      log->Record(std::move(record));
     }
 
     intermediate = relational::NaturalJoin(intermediate, fetched);

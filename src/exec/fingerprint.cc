@@ -1,5 +1,6 @@
 #include "exec/fingerprint.h"
 
+#include <span>
 #include <sstream>
 
 namespace limcap::exec {
@@ -17,23 +18,25 @@ std::string OrderedFingerprint(const ExecResult& exec) {
     out << ">";
   }
   out << "\n";
-  for (const auto& record : exec.log.records()) {
-    out << record.source << " round=" << record.round << " q=[";
-    for (std::size_t i = 0; i < record.query.ids.size(); ++i) {
-      out << record.query.positions[i] << ":" << record.query.ids[i] << ",";
+  for (const capability::AccessRecord record : exec.log.records()) {
+    out << record.source() << " round=" << record.round() << " q=[";
+    const std::span<const uint32_t> positions = record.positions();
+    const std::span<const ValueId> ids = record.query_ids();
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+      out << positions[i] << ":" << ids[i] << ",";
     }
-    out << "] returned=" << record.tuples_returned
-        << " new=" << record.new_tuples << " ids=";
-    for (const auto& ids : record.returned_ids) {
+    out << "] returned=" << record.tuples_returned()
+        << " new=" << record.new_tuples() << " ids=";
+    for (std::size_t k = 0; k < record.new_tuples(); ++k) {
       out << "<";
-      for (ValueId id : ids) out << id << ",";
+      for (ValueId id : record.returned_ids(k)) out << id << ",";
       out << ">";
     }
     out << " bindings=";
-    for (const auto& [attribute, id] : record.new_binding_ids) {
-      out << attribute << "=" << id << ",";
+    for (std::size_t k = 0; k < record.num_new_bindings(); ++k) {
+      out << record.binding_attribute(k) << "=" << record.binding_id(k) << ",";
     }
-    if (!record.error.empty()) out << " error=" << record.error;
+    if (!record.error().empty()) out << " error=" << record.error();
     out << "\n";
   }
   for (const std::string& predicate : exec.store.Predicates()) {

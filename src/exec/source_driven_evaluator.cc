@@ -22,9 +22,7 @@ namespace limcap::exec {
 
 namespace {
 
-using capability::AccessRecord;
 using capability::Source;
-using capability::SourceQuery;
 using datalog::kNoPredicate;
 using datalog::PredicateId;
 using relational::Relation;
@@ -39,10 +37,12 @@ bool TestAndSet(std::vector<bool>& seen, ValueId id) {
 }
 
 /// Per-(view, template) fetch state, every name resolved to its id once
-/// per execution.
+/// per execution. A spec's index is its channel in the scheduler and in
+/// the access log.
 struct FetchSpec {
   Source* source = nullptr;
-  /// Shared copy for access records, which outlive the execution.
+  /// Shared copy for the access log's channel, which outlives the
+  /// execution.
   std::shared_ptr<const capability::SourceView> view;
   PredicateId view_predicate = kNoPredicate;
   // The template's bound positions in schema order, with their domain
@@ -225,6 +225,13 @@ Result<ExecResult> SourceDrivenEvaluator::Execute(
   // so circuit-breaker state and the simulated clock carry across rounds.
   runtime::FetchScheduler scheduler(options_.runtime, dict, options_.tracer,
                                     !options_.continue_on_source_error);
+  // The channel table: spec s is channel s of the scheduler and the log.
+  scheduler.ReserveChannels(specs.size());
+  result.log.ReserveChannels(specs.size());
+  for (const FetchSpec& spec : specs) {
+    scheduler.AddChannel(spec.source, spec.bound_positions);
+    result.log.AddChannel(spec.view, spec.bound_positions, dict);
+  }
 
   // The runtime-adaptive layer (off by default). The checker re-derives
   // relevance against the actually-materialized bindings each round; it
@@ -246,61 +253,52 @@ Result<ExecResult> SourceDrivenEvaluator::Execute(
     }
   }
 
-  // Folds one answered (or failed) fetch into the store and the trace.
-  // Called in frontier order on this thread, which is what makes
-  // concurrent dispatch bit-identical to serial: store inserts, log
-  // records, and any re-keying Interns happen in the serial order no
-  // matter how the batch actually ran.
-  auto commit = [&](const FetchSpec& spec, SourceQuery source_query,
-                    runtime::FetchResult& fetched) -> Status {
-    const capability::SourceView& view = *spec.view;
-    AccessRecord record;
-    record.source = view.name();
-    record.query = std::move(source_query);
-    record.view = spec.view;
-    record.round = result.rounds;
-    const bool source_failed = !fetched.tuples.ok();
-    if (source_failed && !options_.continue_on_source_error) {
-      return fetched.tuples.status();
+  // Folds request `i`'s answer (or failure) into the store and the trace.
+  // Called in round order on this thread, which is what makes concurrent
+  // dispatch bit-identical to serial: store inserts and log records
+  // happen in the serial order no matter how the round actually ran (the
+  // scheduler's merge already re-keyed answers in that order).
+  runtime::FetchRound round;
+  runtime::FetchOutcomes fetched;
+  relational::IdRow row_ids;
+  auto commit = [&](std::size_t i) -> Status {
+    const runtime::FetchOutcome& outcome = fetched[i];
+    const uint32_t channel = round.channels[i];
+    if (!outcome.ok() && !options_.continue_on_source_error) {
+      return fetched.errors[outcome.error];
     }
-    if (source_failed) record.error = fetched.tuples.status().ToString();
-    Relation tuples = source_failed ? Relation(view.schema(), dict)
-                                    : std::move(fetched.tuples).value();
-    if (tuples.dict_ptr() != dict) {
-      // A source that ignores the dictionary contract (possible for
-      // third-party Source implementations) pays one re-keying pass —
-      // still ingest, not hot path.
-      tuples = tuples.WithDictionary(dict);
+    const Relation* tuples = fetched.AnswerOf(i);
+    result.log.Append(channel, result.rounds, round.IdsOf(i),
+                      tuples != nullptr ? tuples->size() : 0);
+    if (!outcome.ok()) {
+      result.log.SetError(fetched.errors[outcome.error].ToString());
+      return Status::OK();
     }
-    record.tuples_returned = tuples.size();
-    relational::IdRow row_ids;
-    for (std::size_t pos = 0; pos < tuples.size(); ++pos) {
-      tuples.GatherRowIds(pos, &row_ids);
+    if (tuples == nullptr) return Status::OK();
+    const FetchSpec& spec = specs[channel];
+    for (std::size_t pos = 0; pos < tuples->size(); ++pos) {
+      tuples->GatherRowIds(pos, &row_ids);
       LIMCAP_ASSIGN_OR_RETURN(
           bool inserted,
           store.InsertIds(spec.view_predicate, datalog::RowView(row_ids)));
       if (!inserted) continue;
-      ++record.new_tuples;
-      record.returned_ids.push_back(row_ids);
+      result.log.AddReturned(row_ids);
       // Report first-seen values of free attributes as new bindings.
       for (std::size_t f = 0; f < spec.free_positions.size(); ++f) {
-        const uint32_t i = spec.free_positions[f];
-        if (!TestAndSet(trackers[spec.free_trackers[f]].seen, row_ids[i])) {
-          record.new_binding_ids.emplace_back(view.schema().attribute(i),
-                                              row_ids[i]);
+        const uint32_t p = spec.free_positions[f];
+        if (!TestAndSet(trackers[spec.free_trackers[f]].seen, row_ids[p])) {
+          result.log.AddNewBinding(p, row_ids[p]);
         }
       }
     }
-    result.log.Record(std::move(record));
     return Status::OK();
   };
 
-  // One round's frontier: the formable, not-yet-asked source queries in
-  // serial order (spec order × odometer order), the spec of each, and
-  // where each enumerated spec's delta ends. The scheduler dispatches it;
-  // the commit loop folds it back in this same order.
-  std::vector<runtime::FetchRequest> requests;
-  std::vector<std::size_t> request_spec;
+  // One round's frontier, built in `round`: the formable, not-yet-asked
+  // source queries in serial order (spec order × odometer order), each as
+  // its spec's channel and its ids in the round's arena, and where each
+  // enumerated spec's delta ends. The scheduler dispatches it; the commit
+  // loop folds it back in this same order.
   std::vector<std::pair<std::size_t, std::size_t>> delta_ends;
   std::vector<ValueId> combo;
 
@@ -338,18 +336,10 @@ Result<ExecResult> SourceDrivenEvaluator::Execute(
   auto collect_delta = [&](std::size_t spec_index) {
     FetchSpec& spec = specs[spec_index];
     if (spec.extents.size() != spec.bound_domains.size()) return;
-    auto emit = [&](std::span<const ValueId> ids) {
-      runtime::FetchRequest request;
-      request.source = spec.source;
-      request.query.positions = spec.bound_positions;
-      request.query.ids.assign(ids.begin(), ids.end());
-      request.query.dict = dict;
-      requests.push_back(std::move(request));
-      request_spec.push_back(spec_index);
-    };
+    const uint32_t channel = static_cast<uint32_t>(spec_index);
     if (spec.bound_domains.empty()) {
       // A view with no bound attribute has exactly one (empty) query.
-      if (!spec.swept) emit({});
+      if (!spec.swept) round.Add(channel, {});
     } else {
       combo.resize(spec.bound_domains.size());
       ForEachDeltaCombo(
@@ -360,11 +350,11 @@ Result<ExecResult> SourceDrivenEvaluator::Execute(
             }
             if (spec.asked == kNoPredicate ||
                 !asked.Contains(spec.asked, combo)) {
-              emit(combo);
+              round.Add(channel, combo);
             }
           });
     }
-    delta_ends.emplace_back(spec_index, requests.size());
+    delta_ends.emplace_back(spec_index, round.size());
   };
 
   const std::string& goal = options_.builder.goal_predicate;
@@ -388,33 +378,40 @@ Result<ExecResult> SourceDrivenEvaluator::Execute(
     // evaluator->Run(), so the full frontier is determined here, before
     // any of its fetches executes — the scheduler may answer it in any
     // physical order and the ordered commit reproduces serial execution.
-    requests.clear();
-    request_spec.clear();
+    round.Clear();
     delta_ends.clear();
-    // Sized once from the deltas, so the frontier never regrows; to a
-    // power of two, for the reason AccessLog::MakeRoomFor gives.
+    // Sized once from the deltas, so the round never regrows; to a power
+    // of two, for the reason AccessLog::MakeRoomFor gives.
     std::size_t frontier_bound = 0;
-    for (FetchSpec& spec : specs) frontier_bound += measure_delta(spec);
-    if (frontier_bound > requests.capacity()) {
-      requests.reserve(std::bit_ceil(frontier_bound));
-      request_spec.reserve(std::bit_ceil(frontier_bound));
+    std::size_t ids_bound = 0;
+    for (FetchSpec& spec : specs) {
+      const std::size_t delta = measure_delta(spec);
+      frontier_bound += delta;
+      ids_bound += delta * spec.bound_positions.size();
+    }
+    if (frontier_bound > round.channels.capacity()) {
+      round.channels.reserve(std::bit_ceil(frontier_bound));
+      round.offsets.reserve(std::bit_ceil(frontier_bound + 1));
+    }
+    if (ids_bound > round.ids.capacity()) {
+      round.ids.reserve(std::bit_ceil(ids_bound));
     }
     for (std::size_t s = 0; s < specs.size(); ++s) {
       collect_delta(s);
       // Eager strategy: one query per round, then go derive.
-      if (eager && !requests.empty()) break;
+      if (eager && !round.empty()) break;
     }
     if (checker != nullptr) {
       // The frozen fixpoint must see the FULL frontier's pending
       // channels — entries a budget truncation drops below still count
       // as pending (conservative: their predicates stay unfrozen).
       std::vector<bool> has_pending(channels.size(), false);
-      for (std::size_t spec_index : request_spec) {
+      for (uint32_t spec_index : round.channels) {
         has_pending[spec_to_channel[spec_index]] = true;
       }
       checker->BeginRound(has_pending);
     }
-    std::size_t dispatched = requests.size();
+    std::size_t dispatched = round.size();
     if (eager) dispatched = std::min<std::size_t>(dispatched, 1);
     // Source-access budget: dispatch only up to the budget's remainder;
     // any formable query beyond it makes the answer a partial one.
@@ -425,8 +422,7 @@ Result<ExecResult> SourceDrivenEvaluator::Execute(
       result.budget_exhausted = true;
       done = true;
     }
-    requests.resize(dispatched);
-    request_spec.resize(dispatched);
+    round.Truncate(dispatched);
     // What goes out counts as asked — a dynamically skipped fetch too (the
     // skip is final). A spec whose whole delta goes out moves its
     // watermarks up to this round's extents; the spec the cut falls
@@ -445,14 +441,14 @@ Result<ExecResult> SourceDrivenEvaluator::Execute(
         }
         for (std::size_t i = begin; i < dispatched; ++i) {
           LIMCAP_RETURN_NOT_OK(
-              asked.InsertIds(spec.asked, requests[i].query.ids).status());
+              asked.InsertIds(spec.asked, round.IdsOf(i)).status());
         }
       }
       begin = end;
     }
 
-    if (!requests.empty()) {
-      // Everything the batch window translates — source ingest, private-
+    if (!round.empty()) {
+      // Everything the round's window translates — source ingest, private-
       // dictionary cloning under concurrent dispatch, re-keying — is
       // ingest, not hot path.
       const uint64_t before_batch = dict->translation_count();
@@ -460,25 +456,24 @@ Result<ExecResult> SourceDrivenEvaluator::Execute(
       if (checker != nullptr) {
         probe = [&](std::size_t i) {
           auto certificate = checker->TrySkip(
-              spec_to_channel[request_spec[i]], requests[i].query.ids);
+              spec_to_channel[round.channels[i]], round.IdsOf(i));
           if (!certificate.has_value()) return false;
           result.skip_certificates.push_back(*std::move(certificate));
           return true;
         };
       }
-      std::vector<runtime::FetchResult> fetched =
-          dispatcher != nullptr
-              ? dispatcher->ExecuteFrontier(requests, probe)
-              : scheduler.ExecuteBatch(requests);
-      result.log.MakeRoomFor(requests.size());
-      for (std::size_t i = 0; i < requests.size(); ++i) {
+      if (dispatcher != nullptr) {
+        dispatcher->ExecuteFrontier(round, probe, &fetched);
+      } else {
+        scheduler.ExecuteRound(round, &fetched);
+      }
+      result.log.MakeRoomFor(round.size(), round.ids.size());
+      for (std::size_t i = 0; i < round.size(); ++i) {
         // A dynamically skipped fetch leaves no trace: no source call,
         // no access record, no store insert, no budget spend — only its
         // certificate.
         if (fetched[i].skipped_dynamic) continue;
-        LIMCAP_RETURN_NOT_OK(commit(specs[request_spec[i]],
-                                    std::move(requests[i].query),
-                                    fetched[i]));
+        LIMCAP_RETURN_NOT_OK(commit(i));
       }
       ingest_allowance += dict->translation_count() - before_batch;
     }
@@ -488,7 +483,7 @@ Result<ExecResult> SourceDrivenEvaluator::Execute(
       LIMCAP_RETURN_NOT_OK(evaluator->Run());
       break;
     }
-    if (requests.empty()) {
+    if (round.empty()) {
       done = true;
     } else {
       ++result.rounds;

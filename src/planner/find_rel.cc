@@ -9,8 +9,9 @@ namespace limcap::planner {
 namespace {
 
 std::string SetToString(const std::set<std::string>& items) {
-  return "{" + JoinMapped(items, ", ", [](const std::string& s) { return s; }) +
-         "}";
+  return StrCat(
+      {"{", JoinMapped(items, ", ", [](const std::string& s) { return s; }),
+       "}"});
 }
 
 /// FIND_REL's per-query state, shared by every connection: the closure

@@ -7,6 +7,7 @@
 
 #include "capability/catalog_fingerprint.h"
 #include "common/hash.h"
+#include "common/string_util.h"
 
 namespace limcap::planner {
 
@@ -22,7 +23,8 @@ class AttributeCanonicalizer {
   const std::string& IdOf(const std::string& attribute) {
     auto it = ids_.find(attribute);
     if (it == ids_.end()) {
-      it = ids_.emplace(attribute, "$" + std::to_string(ids_.size())).first;
+      it = ids_.emplace(attribute, StrCat({"$", std::to_string(ids_.size())}))
+               .first;
     }
     return it->second;
   }

@@ -14,7 +14,7 @@ bool Connection::ContainsView(const std::string& name) const {
 }
 
 std::string Connection::ToString() const {
-  return "{" + Join(view_names_, ", ") + "}";
+  return StrCat({"{", Join(view_names_, ", "), "}"});
 }
 
 AttributeSet Query::InputAttributes() const {

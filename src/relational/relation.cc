@@ -325,10 +325,10 @@ std::vector<Row> Relation::SortedRows() const {
 }
 
 std::string Relation::ToString() const {
-  return "{" +
-         JoinMapped(SortedRows(), ", ",
-                    [](const Row& row) { return RowToString(row); }) +
-         "}";
+  return StrCat({"{",
+                 JoinMapped(SortedRows(), ", ",
+                            [](const Row& row) { return RowToString(row); }),
+                 "}"});
 }
 
 Relation Relation::WithDictionary(ValueDictionaryPtr dict) const {
@@ -362,9 +362,9 @@ bool Relation::operator==(const Relation& other) const {
 }
 
 std::string RowToString(const Row& row) {
-  return "<" +
-         JoinMapped(row, ", ", [](const Value& v) { return v.ToString(); }) +
-         ">";
+  return StrCat(
+      {"<", JoinMapped(row, ", ", [](const Value& v) { return v.ToString(); }),
+       ">"});
 }
 
 }  // namespace limcap::relational

@@ -55,7 +55,7 @@ Schema Schema::NaturalJoinSchema(const Schema& other) const {
 }
 
 std::string Schema::ToString() const {
-  return "(" + Join(attributes(), ", ") + ")";
+  return StrCat({"(", Join(attributes(), ", "), ")"});
 }
 
 }  // namespace limcap::relational

@@ -23,10 +23,6 @@ constexpr double kBatchMarginalFraction = 0.25;
 /// Smoothing factor of the per-source latency/rows/failure EWMAs.
 constexpr double kEwmaAlpha = 0.2;
 
-const std::string& SourceNameOf(const FetchRequest& request) {
-  return request.source->view().name();
-}
-
 }  // namespace
 
 AdaptiveDispatcher::AdaptiveDispatcher(const RuntimeOptions& runtime,
@@ -62,23 +58,24 @@ double AdaptiveDispatcher::HedgeDelayFor(const std::string& source) const {
                   kHedgeMinDelayMs);
 }
 
-std::vector<FetchResult> AdaptiveDispatcher::ExecuteFrontier(
-    const std::vector<FetchRequest>& requests, const SkipProbe& probe) {
+void AdaptiveDispatcher::ExecuteFrontier(const FetchRound& round,
+                                         const SkipProbe& probe,
+                                         FetchOutcomes* out) {
   const AdaptiveOptions& adaptive = runtime_.adaptive;
-  const std::size_t n = requests.size();
-  std::vector<FetchResult> results(n);
+  const std::size_t n = round.size();
+  auto source_of = [&](std::size_t i) -> const std::string& {
+    return scheduler_->SourceNameOf(round.channels[i]);
+  };
 
   // 1. Dynamic relevance: suppress the requests the checker certifies.
   std::vector<std::size_t> dispatch;
+  std::vector<std::size_t> skipped;
   dispatch.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     if (adaptive.dynamic_pruning && probe && probe(i)) {
-      FetchResult& skip = results[i];
-      skip.tuples =
-          Status::Unavailable("suppressed by dynamic relevance check");
-      skip.skipped_dynamic = true;
+      skipped.push_back(i);
       ++skipped_;
-      ++skipped_per_source_[SourceNameOf(requests[i])];
+      ++skipped_per_source_[source_of(i)];
       continue;
     }
     dispatch.push_back(i);
@@ -91,14 +88,14 @@ std::vector<FetchResult> AdaptiveDispatcher::ExecuteFrontier(
     std::vector<std::pair<double, std::size_t>> keyed;
     keyed.reserve(dispatch.size());
     for (std::size_t index : dispatch) {
-      keyed.emplace_back(ScoreFor(SourceNameOf(requests[index])), index);
+      keyed.emplace_back(ScoreFor(source_of(index)), index);
     }
     std::stable_sort(keyed.begin(), keyed.end(),
                      [&](const std::pair<double, std::size_t>& a,
                          const std::pair<double, std::size_t>& b) {
                        if (a.first != b.first) return a.first > b.first;
-                       const std::string& sa = SourceNameOf(requests[a.second]);
-                       const std::string& sb = SourceNameOf(requests[b.second]);
+                       const std::string& sa = source_of(a.second);
+                       const std::string& sb = source_of(b.second);
                        if (sa != sb) return sa < sb;
                        return a.second < b.second;
                      });
@@ -107,49 +104,60 @@ std::vector<FetchResult> AdaptiveDispatcher::ExecuteFrontier(
     }
   }
 
-  // 3. Build the dispatched batch in permuted order, arming hedge delays
+  // 3. Build the dispatched round in permuted order, arming hedge delays
   // and marking batched members (consecutive requests to one source with
   // the same bound positions model one merged source call: members after
   // the first are discounted the non-marginal share of the base latency).
-  std::vector<FetchRequest> batch;
-  batch.reserve(dispatch.size());
+  permuted_.Clear();
   for (std::size_t k = 0; k < dispatch.size(); ++k) {
-    FetchRequest& request = batch.emplace_back(requests[dispatch[k]]);
-    const std::string& source = SourceNameOf(request);
-    request.hedge_delay_ms = HedgeDelayFor(source);
-    request.batch_discount_ms = 0;
+    const uint32_t channel = round.channels[dispatch[k]];
+    permuted_.Add(channel, round.IdsOf(dispatch[k]));
+    const std::string& source = scheduler_->SourceNameOf(channel);
+    permuted_.hedge_delay_ms.push_back(HedgeDelayFor(source));
+    double discount = 0;
     if (adaptive.batch && k > 0) {
-      const FetchRequest& prev = requests[dispatch[k - 1]];
-      if (prev.source == request.source &&
-          prev.query.positions == request.query.positions) {
-        request.batch_discount_ms =
-            runtime_.latency.LatencyOf(source) *
-            (1.0 - kBatchMarginalFraction);
+      const FetchChannel& prev =
+          scheduler_->channel(round.channels[dispatch[k - 1]]);
+      const FetchChannel& here = scheduler_->channel(channel);
+      if (prev.source == here.source && prev.positions == here.positions) {
+        discount = runtime_.latency.LatencyOf(source) *
+                   (1.0 - kBatchMarginalFraction);
       }
     }
+    permuted_.batch_discount_ms.push_back(discount);
   }
 
-  std::vector<FetchResult> executed = scheduler_->ExecuteBatch(batch);
+  scheduler_->ExecuteRound(permuted_, &executed_);
 
   // 4. Un-permute, then learn in canonical (caller) order so the
   // profiles — and hence later rounds' hedge delays and scores — are
-  // independent of the permutation actually dispatched.
+  // independent of the permutation actually dispatched. Answer and error
+  // indices stay valid: the side arrays move over whole.
+  out->Reset(n);
+  std::swap(out->answers, executed_.answers);
+  std::swap(out->errors, executed_.errors);
   for (std::size_t k = 0; k < dispatch.size(); ++k) {
-    results[dispatch[k]] = std::move(executed[k]);
+    out->outcomes[dispatch[k]] = executed_.outcomes[k];
+  }
+  if (!skipped.empty()) {
+    const uint32_t suppressed = static_cast<uint32_t>(out->errors.size());
+    out->errors.push_back(
+        Status::Unavailable("suppressed by dynamic relevance check"));
+    for (std::size_t i : skipped) {
+      out->outcomes[i].skipped_dynamic = true;
+      out->outcomes[i].error = suppressed;
+    }
   }
   for (std::size_t i = 0; i < n; ++i) {
-    const FetchResult& result = results[i];
-    if (result.skipped_dynamic) continue;
+    const FetchOutcome& outcome = out->outcomes[i];
+    if (outcome.skipped_dynamic) continue;
     // Only fetches that drove a source call teach us about the source:
     // coalesced followers and breaker fast-fails carry no new signal.
-    if (result.attempts == 0) continue;
-    const bool failed = !result.tuples.ok();
-    const double rows =
-        failed ? 0.0 : static_cast<double>(result.tuples.value().size());
-    profiles_[SourceNameOf(requests[i])].Observe(result.duration_ms, rows,
-                                                 failed, kEwmaAlpha);
+    if (outcome.attempts == 0) continue;
+    profiles_[source_of(i)].Observe(outcome.duration_ms,
+                                    static_cast<double>(out->RowsOf(i)),
+                                    !outcome.ok(), kEwmaAlpha);
   }
-  return results;
 }
 
 void AdaptiveDispatcher::PublishShared() {

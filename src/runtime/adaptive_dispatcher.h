@@ -49,12 +49,12 @@ class AdaptiveDispatcher {
   /// discounts, `runtime.adaptive` configures everything else).
   AdaptiveDispatcher(const RuntimeOptions& runtime, FetchScheduler* scheduler);
 
-  /// Executes one frontier adaptively. `probe` may be null (no dynamic
-  /// pruning). Results align with `requests`; a skipped request's result
-  /// has `skipped_dynamic` set and an error Status for tuples — the
-  /// caller must not commit it.
-  std::vector<FetchResult> ExecuteFrontier(
-      const std::vector<FetchRequest>& requests, const SkipProbe& probe);
+  /// Executes one round adaptively into `out`. `probe` may be null (no
+  /// dynamic pruning). Outcomes align with `round`; a skipped request's
+  /// outcome has `skipped_dynamic` set and an error — the caller must not
+  /// commit it.
+  void ExecuteFrontier(const FetchRound& round, const SkipProbe& probe,
+                       FetchOutcomes* out);
 
   /// This execution's learned per-source profiles (canonical order).
   const std::map<std::string, SourceProfile>& profiles() const {
@@ -75,6 +75,10 @@ class AdaptiveDispatcher {
 
   RuntimeOptions runtime_;
   FetchScheduler* scheduler_;
+  /// Per-round scratch, reused: the permuted round the scheduler runs and
+  /// its outcomes.
+  FetchRound permuted_;
+  FetchOutcomes executed_;
   std::map<std::string, SourceProfile> profiles_;
   std::map<std::string, std::size_t> skipped_per_source_;
   std::size_t skipped_ = 0;

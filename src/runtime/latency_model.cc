@@ -10,11 +10,11 @@ MakespanReport EstimateMakespan(const capability::AccessLog& log,
   // Per round: the max single latency and the per-source query counts.
   std::map<std::size_t, double> round_max;
   std::map<std::size_t, std::map<std::string, std::size_t>> round_counts;
-  for (const capability::AccessRecord& record : log.records()) {
-    double latency = model.LatencyOf(record.source);
+  for (const capability::AccessRecord record : log.records()) {
+    double latency = model.LatencyOf(record.source());
     report.sequential_ms += latency;
-    round_max[record.round] = std::max(round_max[record.round], latency);
-    ++round_counts[record.round][record.source];
+    round_max[record.round()] = std::max(round_max[record.round()], latency);
+    ++round_counts[record.round()][record.source()];
   }
   for (const auto& [round, latency] : round_max) {
     report.parallel_ms += latency;

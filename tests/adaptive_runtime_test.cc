@@ -35,8 +35,10 @@
 #include "analysis/dynamic_relevance.h"
 #include "capability/catalog_text.h"
 #include "capability/in_memory_source.h"
+#include "common/string_util.h"
 #include "exec/fingerprint.h"
 #include "exec/query_answerer.h"
+#include "fetch_rounds.h"
 #include "mediator/serve_session.h"
 #include "paperdata/paper_examples.h"
 #include "query_redraw.h"
@@ -62,7 +64,7 @@ using relational::Schema;
 using runtime::FaultInjectingSource;
 using runtime::FaultSpec;
 using runtime::FetchGovernor;
-using runtime::FetchRequest;
+using runtime::FetchOutcomes;
 using runtime::FetchScheduler;
 using runtime::RuntimeOptions;
 using workload::CatalogSpec;
@@ -316,7 +318,7 @@ std::string SoloFingerprint(const workload::MixedWorkload& workload,
                             const ExecOptions& options) {
   QueryAnswerer answerer(&workload.catalog, workload.domains);
   auto report = answerer.Answer(query, options);
-  if (!report.ok()) return "error: " + report.status().ToString();
+  if (!report.ok()) return StrCat({"error: ", report.status().ToString()});
   return OrderedFingerprint(report->exec);
 }
 
@@ -354,7 +356,7 @@ TEST(AdaptiveServeTest, ConcurrentAdaptiveAnswersMatchSolo) {
             std::string fingerprint =
                 response.report.ok()
                     ? OrderedFingerprint(response.report->exec)
-                    : "error: " + response.report.status().ToString();
+                    : StrCat({"error: ", response.report.status().ToString()});
             std::lock_guard<std::mutex> lock(mutex);
             actual[i] = std::move(fingerprint);
             ++done;
@@ -501,15 +503,6 @@ std::unique_ptr<InMemorySource> MakePairSource(const std::string& name) {
       SourceView::MakeUnsafe(name, {"A", "B"}, "bf"), std::move(data)));
 }
 
-FetchRequest MakeRequest(capability::Source* source, ValueDictionaryPtr dict,
-                         const char* value) {
-  FetchRequest request;
-  request.source = source;
-  request.query = SourceQuery::MakeUnsafe(source->view(), std::move(dict),
-                                          {{"A", S(value)}});
-  return request;
-}
-
 TEST(AdaptiveDispatcherTest, ReordersByLatencyBatchesAndLearns) {
   auto slow = MakePairSource("slow");
   auto fast = MakePairSource("fast");
@@ -521,15 +514,16 @@ TEST(AdaptiveDispatcherTest, ReordersByLatencyBatchesAndLearns) {
   FetchScheduler scheduler(options, dict);
   runtime::AdaptiveDispatcher dispatcher(options, &scheduler);
 
-  std::vector<FetchRequest> requests;
-  requests.push_back(MakeRequest(slow.get(), dict, "a1"));
-  requests.push_back(MakeRequest(fast.get(), dict, "a1"));
-  requests.push_back(MakeRequest(fast.get(), dict, "a2"));
-  auto results = dispatcher.ExecuteFrontier(requests, nullptr);
+  testutil::RoundBuilder requests(&scheduler, dict);
+  requests.Ask(slow.get(), "a1");
+  requests.Ask(fast.get(), "a1");
+  requests.Ask(fast.get(), "a2");
+  FetchOutcomes results;
+  dispatcher.ExecuteFrontier(requests.round(), nullptr, &results);
   ASSERT_EQ(results.size(), 3u);
-  for (const auto& result : results) {
-    ASSERT_TRUE(result.tuples.ok());
-    EXPECT_EQ(result.tuples->size(), 1u);
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    ASSERT_TRUE(results[i].ok());
+    EXPECT_EQ(results.RowsOf(i), 1u);
   }
   // Cold scores are 1/base-latency, so both fast fetches dispatched
   // before the slow one; results still align with the caller's order.
@@ -556,16 +550,18 @@ TEST(AdaptiveDispatcherTest, SkipProbeSuppressesWithoutSourceCalls) {
   FetchScheduler scheduler(options, dict);
   runtime::AdaptiveDispatcher dispatcher(options, &scheduler);
 
-  std::vector<FetchRequest> requests;
-  requests.push_back(MakeRequest(source.get(), dict, "a1"));
-  requests.push_back(MakeRequest(source.get(), dict, "a2"));
-  auto results = dispatcher.ExecuteFrontier(
-      requests, [](std::size_t index) { return index == 0; });
+  testutil::RoundBuilder requests(&scheduler, dict);
+  requests.Ask(source.get(), "a1");
+  requests.Ask(source.get(), "a2");
+  FetchOutcomes results;
+  dispatcher.ExecuteFrontier(requests.round(),
+                             [](std::size_t index) { return index == 0; },
+                             &results);
   ASSERT_EQ(results.size(), 2u);
   EXPECT_TRUE(results[0].skipped_dynamic);
-  EXPECT_FALSE(results[0].tuples.ok());
+  EXPECT_FALSE(results[0].ok());
   EXPECT_EQ(results[0].attempts, 0u);
-  ASSERT_TRUE(results[1].tuples.ok());
+  ASSERT_TRUE(results[1].ok());
   EXPECT_EQ(dispatcher.skipped(), 1u);
   EXPECT_EQ(dispatcher.skipped_per_source().at("v"), 1u);
   // Skipped fetches teach nothing: only the dispatched one observed.
@@ -594,10 +590,10 @@ TEST(AdaptiveHedgeBreakerTest, HedgeRescuesDeadlineWithoutExtraAttempts) {
   options.retry.deadline_ms = 200;
   FetchScheduler scheduler(options, dict);
 
-  FetchRequest hedged = MakeRequest(source.get(), dict, "a1");
-  hedged.hedge_delay_ms = 100;
-  auto results = scheduler.ExecuteBatch({hedged});
-  ASSERT_TRUE(results[0].tuples.ok());
+  testutil::RoundBuilder hedged(&scheduler, dict);
+  hedged.Ask(source.get(), "a1", /*hedge_delay_ms=*/100);
+  auto results = hedged.Run();
+  ASSERT_TRUE(results[0].ok());
   EXPECT_TRUE(results[0].hedged);
   EXPECT_TRUE(results[0].hedge_win);
   EXPECT_EQ(results[0].attempts, 1u);
@@ -610,9 +606,10 @@ TEST(AdaptiveHedgeBreakerTest, HedgeRescuesDeadlineWithoutExtraAttempts) {
   // The same fetch without a hedge times out.
   auto plain_source = MakeSpikySource("p", 500);
   FetchScheduler plain_scheduler(options, dict);
-  auto plain = plain_scheduler.ExecuteBatch(
-      {MakeRequest(plain_source.get(), dict, "a1")});
-  EXPECT_FALSE(plain[0].tuples.ok());
+  testutil::RoundBuilder unhedged(&plain_scheduler, dict);
+  unhedged.Ask(plain_source.get(), "a1");
+  auto plain = unhedged.Run();
+  EXPECT_FALSE(plain[0].ok());
   EXPECT_EQ(plain[0].timeouts, 1u);
   EXPECT_FALSE(plain[0].hedged);
 }
@@ -631,22 +628,24 @@ TEST(AdaptiveHedgeBreakerTest, HedgedTimeoutCountsOnceTowardBreaker) {
   options.retry.breaker.cooldown_ms = 1e9;
   FetchScheduler scheduler(options, dict);
 
-  FetchRequest request = MakeRequest(source.get(), dict, "a1");
-  request.hedge_delay_ms = 100;
+  testutil::RoundBuilder request(&scheduler, dict);
 
-  auto first = scheduler.ExecuteBatch({request});
-  EXPECT_FALSE(first[0].tuples.ok());
+  request.Ask(source.get(), "a1", /*hedge_delay_ms=*/100);
+  auto first = request.Run();
+  EXPECT_FALSE(first[0].ok());
   EXPECT_TRUE(first[0].hedged);
   EXPECT_FALSE(first[0].hedge_win);
   EXPECT_FALSE(first[0].breaker_skipped);
 
-  auto second = scheduler.ExecuteBatch({request});
-  EXPECT_FALSE(second[0].tuples.ok());
+  request.Ask(source.get(), "a1", /*hedge_delay_ms=*/100);
+  auto second = request.Run();
+  EXPECT_FALSE(second[0].ok());
   // One recorded failure so far: the breaker still admitted this fetch.
   EXPECT_FALSE(second[0].breaker_skipped);
   EXPECT_EQ(second[0].attempts, 1u);
 
-  auto third = scheduler.ExecuteBatch({request});
+  request.Ask(source.get(), "a1", /*hedge_delay_ms=*/100);
+  auto third = request.Run();
   EXPECT_TRUE(third[0].breaker_skipped);
   EXPECT_EQ(third[0].attempts, 0u);
   EXPECT_EQ(source->stats().calls, 2u);
@@ -719,17 +718,15 @@ TEST(AdaptiveGovernorHedgeTest, DifferentHedgeDelaysNeverShareOutcomes) {
   FetchScheduler scheduler_a(GovernedConcurrent(&governor), dict_a);
   FetchScheduler scheduler_b(GovernedConcurrent(&governor), dict_b);
 
-  FetchRequest request_a = MakeRequest(&gate, dict_a, "a1");
-  request_a.hedge_delay_ms = 100;
-  FetchRequest request_b = MakeRequest(&gate, dict_b, "a1");
-  request_b.hedge_delay_ms = 200;
+  testutil::RoundBuilder request_a(&scheduler_a, dict_a);
+  request_a.Ask(&gate, "a1", /*hedge_delay_ms=*/100);
+  testutil::RoundBuilder request_b(&scheduler_b, dict_b);
+  request_b.Ask(&gate, "a1", /*hedge_delay_ms=*/200);
 
-  std::vector<runtime::FetchResult> results_a, results_b;
-  std::thread query_a(
-      [&] { results_a = scheduler_a.ExecuteBatch({request_a}); });
+  FetchOutcomes results_a, results_b;
+  std::thread query_a([&] { results_a = request_a.Run(); });
   ASSERT_TRUE(gate.WaitForEntered(1));
-  std::thread query_b(
-      [&] { results_b = scheduler_b.ExecuteBatch({request_b}); });
+  std::thread query_b([&] { results_b = request_b.Run(); });
   // The same value-level query under a DIFFERENT hedge delay must lead
   // its own source call, not follow the in-flight one.
   EXPECT_TRUE(gate.WaitForEntered(2));
@@ -738,8 +735,8 @@ TEST(AdaptiveGovernorHedgeTest, DifferentHedgeDelaysNeverShareOutcomes) {
   query_b.join();
 
   EXPECT_EQ(gate.entered(), 2u);
-  ASSERT_TRUE(results_a[0].tuples.ok());
-  ASSERT_TRUE(results_b[0].tuples.ok());
+  ASSERT_TRUE(results_a[0].ok());
+  ASSERT_TRUE(results_b[0].ok());
   EXPECT_FALSE(results_a[0].cross_coalesced);
   EXPECT_FALSE(results_b[0].cross_coalesced);
   const FetchGovernor::Stats stats = governor.stats();
@@ -755,17 +752,15 @@ TEST(AdaptiveGovernorHedgeTest, EqualHedgeDelaysStillCoalesce) {
   FetchScheduler scheduler_a(GovernedConcurrent(&governor), dict_a);
   FetchScheduler scheduler_b(GovernedConcurrent(&governor), dict_b);
 
-  FetchRequest request_a = MakeRequest(&gate, dict_a, "a1");
-  request_a.hedge_delay_ms = 100;
-  FetchRequest request_b = MakeRequest(&gate, dict_b, "a1");
-  request_b.hedge_delay_ms = 100;
+  testutil::RoundBuilder request_a(&scheduler_a, dict_a);
+  request_a.Ask(&gate, "a1", /*hedge_delay_ms=*/100);
+  testutil::RoundBuilder request_b(&scheduler_b, dict_b);
+  request_b.Ask(&gate, "a1", /*hedge_delay_ms=*/100);
 
-  std::vector<runtime::FetchResult> results_a, results_b;
-  std::thread query_a(
-      [&] { results_a = scheduler_a.ExecuteBatch({request_a}); });
+  FetchOutcomes results_a, results_b;
+  std::thread query_a([&] { results_a = request_a.Run(); });
   ASSERT_TRUE(gate.WaitForEntered(1));
-  std::thread query_b(
-      [&] { results_b = scheduler_b.ExecuteBatch({request_b}); });
+  std::thread query_b([&] { results_b = request_b.Run(); });
   // Identical hedge config: B registers as a follower of A's in-flight
   // call (visible in the governor stats) without touching the source.
   const auto deadline =
@@ -780,9 +775,9 @@ TEST(AdaptiveGovernorHedgeTest, EqualHedgeDelaysStillCoalesce) {
   query_b.join();
 
   EXPECT_EQ(gate.entered(), 1u);
-  ASSERT_TRUE(results_a[0].tuples.ok());
-  ASSERT_TRUE(results_b[0].tuples.ok());
-  EXPECT_EQ(results_b[0].tuples->size(), 1u);
+  ASSERT_TRUE(results_a[0].ok());
+  ASSERT_TRUE(results_b[0].ok());
+  EXPECT_EQ(results_b.RowsOf(0), 1u);
   // Exactly one of the two fetches followed; the leader held the only
   // permit (followers wait permit-free).
   EXPECT_TRUE(results_a[0].cross_coalesced !=

@@ -8,8 +8,10 @@
 
 #include "capability/in_memory_source.h"
 #include "common/json.h"
+#include "common/string_util.h"
 #include "exec/fingerprint.h"
 #include "exec/query_answerer.h"
+#include "fetch_rounds.h"
 #include "paperdata/paper_examples.h"
 #include "runtime/circuit_breaker.h"
 #include "runtime/fault_injection.h"
@@ -170,33 +172,40 @@ TEST(FaultInjectionTest, LatencySpikesAreReported) {
 // Fetch scheduler
 // ---------------------------------------------------------------------------
 
-FetchRequest MakeRequest(capability::Source* source, ValueDictionaryPtr dict,
-                         const char* value) {
-  FetchRequest request;
-  request.source = source;
-  request.query =
-      SourceQuery::MakeUnsafe(source->view(), std::move(dict), {{"A", S(value)}});
-  return request;
-}
-
 TEST(FetchSchedulerTest, CoalescesIdenticalInFlightQueries) {
   auto source = MakePairSource("v");
   auto dict = std::make_shared<ValueDictionary>();
   RuntimeOptions options;
   FetchScheduler scheduler(options, dict);
-  std::vector<FetchRequest> requests;
-  requests.push_back(MakeRequest(source.get(), dict, "a1"));
-  requests.push_back(MakeRequest(source.get(), dict, "a1"));
-  requests.push_back(MakeRequest(source.get(), dict, "a2"));
-  auto results = scheduler.ExecuteBatch(requests);
+  testutil::RoundBuilder round(&scheduler, dict);
+  round.Ask(source.get(), "a1");
+  round.Ask(source.get(), "a1");
+  round.Ask(source.get(), "a2");
+  auto results = round.Run();
   ASSERT_EQ(results.size(), 3u);
   EXPECT_FALSE(results[0].coalesced);
   EXPECT_TRUE(results[1].coalesced);
   EXPECT_FALSE(results[2].coalesced);
-  ASSERT_TRUE(results[1].tuples.ok());
-  EXPECT_EQ(results[1].tuples->size(), 2u);
+  ASSERT_TRUE(results[1].ok());
+  EXPECT_EQ(results.RowsOf(1), 2u);
+  // A follower shares its leader's answer instead of copying it.
+  EXPECT_EQ(results[1].answer, results[0].answer);
   EXPECT_EQ(scheduler.report().coalesced_hits, 1u);
   EXPECT_EQ(scheduler.report().total_attempts, 2u);  // two source calls
+
+  // Two channels with the same source and positions coalesce too.
+  FetchScheduler two_channels(options, dict);
+  const uint32_t first = two_channels.AddChannel(source.get(), {0});
+  const uint32_t second = two_channels.AddChannel(source.get(), {0});
+  FetchRound across;
+  const ValueId a1 = dict->Intern(S("a1"));
+  across.Add(first, {&a1, 1});
+  across.Add(second, {&a1, 1});
+  FetchOutcomes shared;
+  two_channels.ExecuteRound(across, &shared);
+  EXPECT_FALSE(shared[0].coalesced);
+  EXPECT_TRUE(shared[1].coalesced);
+  EXPECT_EQ(two_channels.report().total_attempts, 1u);
 }
 
 TEST(FetchSchedulerTest, RetriesUntilSuccessAndAccountsBackoff) {
@@ -210,8 +219,10 @@ TEST(FetchSchedulerTest, RetriesUntilSuccessAndAccountsBackoff) {
   options.retry.jitter = 0;
   options.latency.default_latency_ms = 50;
   FetchScheduler scheduler(options, dict);
-  auto results = scheduler.ExecuteBatch({MakeRequest(source.get(), dict, "a1")});
-  ASSERT_TRUE(results[0].tuples.ok());
+  testutil::RoundBuilder round(&scheduler, dict);
+  round.Ask(source.get(), "a1");
+  auto results = round.Run();
+  ASSERT_TRUE(results[0].ok());
   EXPECT_EQ(results[0].attempts, 3u);
   EXPECT_EQ(results[0].retries, 2u);
   // 3 attempts x 50 ms + backoffs 10 + 20.
@@ -231,9 +242,11 @@ TEST(FetchSchedulerTest, DeadlineTimesOutSlowAttempts) {
   options.retry.backoff_base_ms = 10;
   options.retry.jitter = 0;
   FetchScheduler scheduler(options, dict);
-  auto results = scheduler.ExecuteBatch({MakeRequest(source.get(), dict, "a1")});
-  ASSERT_FALSE(results[0].tuples.ok());
-  EXPECT_EQ(results[0].tuples.status().code(), StatusCode::kDeadlineExceeded);
+  testutil::RoundBuilder round(&scheduler, dict);
+  round.Ask(source.get(), "a1");
+  auto results = round.Run();
+  ASSERT_FALSE(results[0].ok());
+  EXPECT_EQ(results.StatusOf(0).code(), StatusCode::kDeadlineExceeded);
   EXPECT_EQ(results[0].timeouts, 2u);
   // Each timed-out attempt costs exactly the deadline, plus one backoff.
   EXPECT_DOUBLE_EQ(results[0].duration_ms, 410);
@@ -283,13 +296,13 @@ TEST(FetchSchedulerTest, ConcurrentMakespanRespectsPerSourceCap) {
   options.per_source_max_in_flight = 1;
   options.latency.default_latency_ms = 50;
   FetchScheduler scheduler(options, dict);
-  std::vector<FetchRequest> requests;
-  requests.push_back(MakeRequest(s1.get(), dict, "a1"));
-  requests.push_back(MakeRequest(s1.get(), dict, "a2"));
-  requests.push_back(MakeRequest(s2.get(), dict, "a1"));
-  requests.push_back(MakeRequest(s2.get(), dict, "a2"));
-  auto results = scheduler.ExecuteBatch(requests);
-  for (const auto& result : results) ASSERT_TRUE(result.tuples.ok());
+  testutil::RoundBuilder round(&scheduler, dict);
+  round.Ask(s1.get(), "a1");
+  round.Ask(s1.get(), "a2");
+  round.Ask(s2.get(), "a1");
+  round.Ask(s2.get(), "a2");
+  auto results = round.Run();
+  for (const auto& result : results.outcomes) ASSERT_TRUE(result.ok());
   // Each source serializes its two 50 ms fetches; the sources overlap:
   // makespan 100 ms versus 200 ms issued one at a time.
   EXPECT_DOUBLE_EQ(scheduler.report().simulated_makespan_ms, 100);
@@ -310,28 +323,26 @@ TEST(FetchSchedulerTest, ConcurrentMakespanRespectsPerSourceCap) {
   wide_options.max_in_flight = 5;
   wide_options.per_source_max_in_flight = 2;
   for (std::size_t s = 0; s < latency.size(); ++s) {
-    const std::string name = "t" + std::to_string(s);
+    const std::string name = StrCat({"t", std::to_string(s)});
     sources.push_back(MakePairSource(name));
     wide_options.latency.per_source_ms[name] = latency[s];
   }
   FetchScheduler wide_scheduler(wide_options, dict);
+  testutil::RoundBuilder wide(&wide_scheduler, dict);
   std::vector<std::size_t> source_of;
-  std::vector<FetchRequest> wide;
   uint64_t draw = 20261018;
   for (std::size_t i = 0; i < 300; ++i) {
     draw = draw * 6364136223846793005ULL + 1442695040888963407ULL;
     source_of.push_back((draw >> 33) % latency.size());
-    const std::string value = "a" + std::to_string(i);
-    wide.push_back(
-        MakeRequest(sources[source_of.back()].get(), dict, value.c_str()));
+    wide.Ask(sources[source_of.back()].get(), StrCat({"a", std::to_string(i)}));
   }
-  auto wide_results = wide_scheduler.ExecuteBatch(wide);
+  auto wide_results = wide.Run();
   const std::vector<double> expected =
       ReferenceStarts(source_of, latency, wide_options.max_in_flight,
                       wide_options.per_source_max_in_flight);
   double makespan = 0;
-  for (std::size_t i = 0; i < wide.size(); ++i) {
-    ASSERT_TRUE(wide_results[i].tuples.ok()) << i;
+  for (std::size_t i = 0; i < source_of.size(); ++i) {
+    ASSERT_TRUE(wide_results[i].ok()) << i;
     EXPECT_DOUBLE_EQ(wide_results[i].start_ms, expected[i]) << i;
     EXPECT_DOUBLE_EQ(wide_results[i].finish_ms,
                      expected[i] + latency[source_of[i]])
@@ -353,31 +364,37 @@ TEST(FetchSchedulerTest, BreakerTripsSkipsAndRecovers) {
   options.retry.breaker.cooldown_ms = 75;
   FetchScheduler scheduler(options, dict);
 
+  testutil::RoundBuilder round(&scheduler, dict);
+
   // Batch 1: two failures trip the breaker (open until 100 + 75 = 175).
-  auto batch1 = scheduler.ExecuteBatch({MakeRequest(flaky.get(), dict, "a1"),
-                                        MakeRequest(flaky.get(), dict, "a2")});
-  EXPECT_FALSE(batch1[0].tuples.ok());
-  EXPECT_FALSE(batch1[1].tuples.ok());
+  round.Ask(flaky.get(), "a1");
+  round.Ask(flaky.get(), "a2");
+  auto batch1 = round.Run();
+  EXPECT_FALSE(batch1[0].ok());
+  EXPECT_FALSE(batch1[1].ok());
   EXPECT_EQ(scheduler.report().per_source.at("v").breaker_state,
             BreakerState::kOpen);
 
   // Batches 2-3: v is skipped without a source call; the healthy fetches
   // advance the simulated clock to 200.
-  auto batch2 = scheduler.ExecuteBatch({MakeRequest(healthy.get(), dict, "a1"),
-                                        MakeRequest(flaky.get(), dict, "a1")});
-  EXPECT_TRUE(batch2[0].tuples.ok());
+  round.Ask(healthy.get(), "a1");
+  round.Ask(flaky.get(), "a1");
+  auto batch2 = round.Run();
+  EXPECT_TRUE(batch2[0].ok());
   EXPECT_TRUE(batch2[1].breaker_skipped);
-  EXPECT_EQ(batch2[1].tuples.status().code(), StatusCode::kUnavailable);
-  auto batch3 = scheduler.ExecuteBatch({MakeRequest(healthy.get(), dict, "a2"),
-                                        MakeRequest(flaky.get(), dict, "a2")});
+  EXPECT_EQ(batch2.StatusOf(1).code(), StatusCode::kUnavailable);
+  round.Ask(healthy.get(), "a2");
+  round.Ask(flaky.get(), "a2");
+  auto batch3 = round.Run();
   EXPECT_TRUE(batch3[1].breaker_skipped);
   EXPECT_DOUBLE_EQ(scheduler.simulated_now_ms(), 200);
   EXPECT_EQ(scheduler.report().per_source.at("v").breaker_skips, 2u);
 
   // Batch 4: cooled down; the half-open probe succeeds (the injected
   // failures are spent) and closes the breaker.
-  auto batch4 = scheduler.ExecuteBatch({MakeRequest(flaky.get(), dict, "a1")});
-  EXPECT_TRUE(batch4[0].tuples.ok());
+  round.Ask(flaky.get(), "a1");
+  auto batch4 = round.Run();
+  EXPECT_TRUE(batch4[0].ok());
   EXPECT_EQ(scheduler.report().per_source.at("v").breaker_state,
             BreakerState::kClosed);
   EXPECT_EQ(flaky->stats().calls, 3u);  // two failures + one probe

@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
+#include <string>
+#include <thread>
+#include <utility>
+#include <vector>
 
 #include "capability/access_log.h"
 #include "capability/binding_pattern.h"
@@ -8,6 +13,7 @@
 #include "capability/in_memory_source.h"
 #include "capability/source_catalog.h"
 #include "capability/source_view.h"
+#include "common/string_util.h"
 
 namespace limcap::capability {
 namespace {
@@ -268,23 +274,18 @@ TEST(AccessLogTest, CountersAndTrace) {
   auto v3 = std::make_shared<const SourceView>(
       SourceView::MakeUnsafe("v3", {"Cd", "Artist", "Price"}, "bff"));
   AccessLog log;
-  AccessRecord r1;
-  r1.source = "v1";
-  r1.view = v1;
-  r1.query = SourceQuery::MakeUnsafe(*v1, dict, {{"Song", S("t1")}});
-  r1.tuples_returned = 1;
-  r1.new_tuples = 1;
-  r1.returned_ids = {{dict->Intern(S("t1")), dict->Intern(S("c1"))}};
-  r1.new_binding_ids = {{"Cd", dict->Intern(S("c1"))}};
-  log.Record(r1);
-  AccessRecord r2;
-  r2.source = "v3";
-  r2.view = v3;
-  r2.query = SourceQuery::MakeUnsafe(*v3, dict, {{"Cd", S("c9")}});
-  r2.tuples_returned = 0;
-  log.Record(r2);
-  AccessRecord r3 = r1;
-  log.Record(r3);
+  const SourceQuery q1 = SourceQuery::MakeUnsafe(*v1, dict, {{"Song", S("t1")}});
+  const SourceQuery q3 = SourceQuery::MakeUnsafe(*v3, dict, {{"Cd", S("c9")}});
+  const uint32_t c1 = log.AddChannel(v1, q1.positions, dict);
+  const uint32_t c3 = log.AddChannel(v3, q3.positions, dict);
+  const relational::IdRow t1c1 = {dict->Intern(S("t1")), dict->Intern(S("c1"))};
+  log.Append(c1, /*round=*/0, q1.ids, /*tuples_returned=*/1);
+  log.AddReturned(t1c1);
+  log.AddNewBinding(/*position=*/1, dict->Intern(S("c1")));
+  log.Append(c3, /*round=*/0, q3.ids, /*tuples_returned=*/0);
+  log.Append(c1, /*round=*/0, q1.ids, /*tuples_returned=*/1);
+  log.AddReturned(t1c1);
+  log.AddNewBinding(/*position=*/1, dict->Intern(S("c1")));
 
   EXPECT_EQ(log.total_queries(), 3u);
   EXPECT_EQ(log.QueriesTo("v1"), 2u);
@@ -311,22 +312,24 @@ TEST(AccessLogTest, LazyRecordsRenderOnDemand) {
   auto view = std::make_shared<const SourceView>(
       SourceView::MakeUnsafe("v1", {"Song", "Cd"}, "bf"));
   auto dict = std::make_shared<ValueDictionary>();
-  AccessRecord record;
-  record.source = "v1";
-  record.query = SourceQuery::MakeUnsafe(*view, dict, {{"Song", S("t1")}});
-  record.view = view;
-  record.tuples_returned = 1;
-  record.new_tuples = 1;
-  record.returned_ids = {{dict->Intern(S("t1")), dict->Intern(S("c1"))}};
-  record.new_binding_ids = {{"Cd", dict->Intern(S("c1"))}};
+  const SourceQuery query =
+      SourceQuery::MakeUnsafe(*view, dict, {{"Song", S("t1")}});
+  const relational::IdRow returned = {dict->Intern(S("t1")),
+                                      dict->Intern(S("c1"))};
+  const ValueId c1 = dict->Intern(S("c1"));
 
   AccessLog lazy;
   const uint64_t before = dict->translation_count();
-  lazy.Record(record);
+  const uint32_t channel = lazy.AddChannel(view, query.positions, dict);
+  lazy.Append(channel, /*round=*/0, query.ids, /*tuples_returned=*/1);
+  lazy.AddReturned(returned);
+  lazy.AddNewBinding(/*position=*/1, c1);
   // Lazy recording touches the dictionary not at all...
   EXPECT_EQ(dict->translation_count(), before);
   // ...and the strings render on demand.
-  const AccessRecord& stored = lazy.records().front();
+  const AccessRecord stored = lazy.records().front();
+  EXPECT_EQ(stored.source(), "v1");
+  EXPECT_EQ(stored.new_tuples(), 1u);
   EXPECT_EQ(stored.RenderedQuery(), "v1(t1, C)");
   EXPECT_EQ(stored.ReturnedRendered(),
             (std::vector<std::string>{"<t1, c1>"}));
@@ -334,6 +337,128 @@ TEST(AccessLogTest, LazyRecordsRenderOnDemand) {
   std::string table = lazy.ToTable(/*productive_only=*/false);
   EXPECT_NE(table.find("v1(t1, C)"), std::string::npos);
   EXPECT_NE(table.find("Cd = c1"), std::string::npos);
+}
+
+// ---------------------------------------------------------------------------
+// InMemorySource's translation memo: a source with its own dictionary
+// remembers, per caller dictionary, which local id each caller id maps to.
+// Its answers must equal the un-memoized lookup's: a fresh source per
+// query, whose memo has never seen the dictionary.
+// ---------------------------------------------------------------------------
+
+/// v(Key, Val) [bf] over (k<i>, w<i>) for i < 8, in the source's own
+/// dictionary.
+InMemorySource MakeKeyedSource() {
+  relational::Relation data(relational::Schema::MakeUnsafe({"Key", "Val"}));
+  for (int i = 0; i < 8; ++i) {
+    data.InsertUnsafe({Value::String(StrCat({"k", std::to_string(i)})),
+                       Value::String(StrCat({"w", std::to_string(i)}))});
+  }
+  return InMemorySource::MakeUnsafe(
+      SourceView::MakeUnsafe("v", {"Key", "Val"}, "bf"), std::move(data));
+}
+
+/// The rows `source` answers for Key = `key` in `dict`, and what a fresh
+/// source (nothing memoized) answers for the same query.
+std::pair<std::vector<relational::Row>, std::vector<relational::Row>>
+AnswerAndReference(InMemorySource& source, const ValueDictionaryPtr& dict,
+                   const std::string& key) {
+  const SourceQuery query = Q(source, dict, {{"Key", Value::String(key)}});
+  auto answer = source.Execute(query);
+  InMemorySource fresh = MakeKeyedSource();
+  auto reference = fresh.Execute(query);
+  EXPECT_TRUE(answer.ok() && reference.ok());
+  return {answer->DecodedRows(), reference->DecodedRows()};
+}
+
+TEST(TranslationMemoTest, AlternatingSessionDictionariesAnswerAsUnmemoized) {
+  InMemorySource source = MakeKeyedSource();
+  // The same ids name different values in the two dictionaries, so a memo
+  // answered for the wrong dictionary would return the wrong rows.
+  auto first = std::make_shared<ValueDictionary>();
+  auto second = std::make_shared<ValueDictionary>();
+  const std::vector<std::string> keys = {"k1", "zz", "k5", "w2", "k0", "k7"};
+  for (const std::string& key : keys) first->Intern(Value::String(key));
+  for (auto it = keys.rbegin(); it != keys.rend(); ++it) {
+    second->Intern(Value::String(*it));
+  }
+  for (int pass = 0; pass < 3; ++pass) {
+    for (const std::string& key : keys) {
+      for (const ValueDictionaryPtr& dict : {first, second}) {
+        auto [answer, reference] = AnswerAndReference(source, dict, key);
+        EXPECT_EQ(answer, reference) << key << " pass " << pass;
+      }
+    }
+  }
+  EXPECT_EQ(AnswerAndReference(source, first, "k5").first,
+            (std::vector<relational::Row>{{S("k5"), S("w5")}}));
+
+  // Serve workers answer through one source from several threads, each
+  // on its own session dictionary (Execute serializes them).
+  std::vector<std::thread> workers;
+  std::vector<int> mismatches(4, 0);
+  for (int w = 0; w < 4; ++w) {
+    workers.emplace_back([&, w] {
+      auto dict = std::make_shared<ValueDictionary>();
+      for (int round = 0; round < 50; ++round) {
+        const std::string key = StrCat({"k", std::to_string((round + w) % 10)});
+        const SourceQuery query =
+            Q(source, dict, {{"Key", Value::String(key)}});
+        auto answer = source.Execute(query);
+        const bool expect_row = (round + w) % 10 < 8;
+        if (!answer.ok() || answer->size() != (expect_row ? 1u : 0u) ||
+            (expect_row &&
+             answer->DecodedRows()[0][0] != Value::String(key))) {
+          ++mismatches[w];
+        }
+      }
+    });
+  }
+  for (std::thread& worker : workers) worker.join();
+  EXPECT_EQ(mismatches, std::vector<int>(4, 0));
+}
+
+TEST(TranslationMemoTest, FreedDictionaryAtTheSameAddressIsNotAHit) {
+  InMemorySource source = MakeKeyedSource();
+  // Dictionaries built in one slot, so a new one has the freed one's
+  // address; the shared pointers do not own it.
+  std::optional<ValueDictionary> slot;
+  auto in_slot = [&] {
+    return ValueDictionaryPtr(&*slot, [](ValueDictionary*) {});
+  };
+  slot.emplace();
+  slot->Intern(S("k3"));  // id 0
+  slot->Intern(S("k4"));  // id 1
+  {
+    auto [answer, reference] = AnswerAndReference(source, in_slot(), "k4");
+    EXPECT_EQ(answer, reference);
+    EXPECT_EQ(answer, (std::vector<relational::Row>{{S("k4"), S("w4")}}));
+  }
+  const uint64_t freed_identity = slot->identity();
+  slot.reset();
+  slot.emplace();
+  EXPECT_NE(slot->identity(), freed_identity);
+  slot->Intern(S("zz"));  // id 0: unknown to the source
+  slot->Intern(S("k6"));  // id 1
+  for (const char* key : {"zz", "k6", "k3"}) {
+    auto [answer, reference] = AnswerAndReference(source, in_slot(), key);
+    EXPECT_EQ(answer, reference) << key;
+  }
+  EXPECT_EQ(AnswerAndReference(source, in_slot(), "k6").first,
+            (std::vector<relational::Row>{{S("k6"), S("w6")}}));
+
+  // A move replaces the contents under one address, too.
+  const uint64_t before_move = slot->identity();
+  ValueDictionary replacement;
+  replacement.Intern(S("k2"));  // id 0
+  replacement.Intern(S("k1"));  // id 1
+  *slot = std::move(replacement);
+  EXPECT_NE(slot->identity(), before_move);
+  for (const char* key : {"k1", "k2"}) {
+    auto [answer, reference] = AnswerAndReference(source, in_slot(), key);
+    EXPECT_EQ(answer, reference) << key;
+    EXPECT_EQ(answer.size(), 1u) << key;
+  }
 }
 
 }  // namespace

@@ -404,8 +404,7 @@ Result<FindRelReport> FindRel(const Query& query, const Connection& connection,
         views.begin(), views.end(),
         [&](const SourceView& v) { return v.name() == name; });
     if (it == views.end()) {
-      return Status::InvalidArgument("connection " + connection.ToString() +
-                                     " references unknown view: " + name);
+      return Status::InvalidArgument(StrCat({"connection ", connection.ToString(), " references unknown view: ", name}));
     }
     connection_views.push_back(*it);
     AttributeSet attrs = it->Attributes();
@@ -493,8 +492,7 @@ SweepInstance MakeSweepInstance(workload::CatalogSpec::Topology topology,
   workload::GeneratedInstance instance = workload::GenerateInstance(spec);
 
   SweepInstance out;
-  out.label = "topology " + std::to_string(static_cast<int>(topology)) +
-              " seed " + std::to_string(seed);
+  out.label = StrCat({"topology ", std::to_string(static_cast<int>(topology)), " seed ", std::to_string(seed)});
   // Every seed yields a query: retry with derived seeds and smaller
   // shapes, deterministically, and fail (never skip) if all run out.
   bool found = false;
@@ -524,7 +522,7 @@ SweepInstance MakeSweepInstance(workload::CatalogSpec::Topology topology,
     for (std::size_t g = 0; g < 1 + rng.Below(3); ++g) {
       for (std::size_t k = 0; k < 2 + rng.Below(2); ++k) {
         out.domains.SetDomain(pool[rng.Below(pool.size())],
-                              "domG" + std::to_string(g));
+                              StrCat({"domG", std::to_string(g)}));
       }
     }
     if (rng.Chance(0.5)) {

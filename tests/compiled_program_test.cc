@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "capability/in_memory_source.h"
+#include "common/string_util.h"
 #include "datalog/evaluator.h"
 #include "datalog/fact_store.h"
 #include "paperdata/paper_examples.h"
@@ -99,8 +100,7 @@ std::vector<Case> GeneratedCases() {
       EXPECT_TRUE(query.has_value()) << "no query for seed " << seed;
       if (!query.has_value()) continue;
       cases.push_back(PlannedCase(
-          "generated/" + std::to_string(int(topology)) + "/" +
-              std::to_string(seed),
+          StrCat({"generated/", std::to_string(int(topology)), "/", std::to_string(seed)}),
           *query, instance.views, instance.domains, instance.catalog));
     }
   }
@@ -138,7 +138,7 @@ Evaluation Evaluate(StoreKind kind, const Edb& edb, const MakeEvaluator& make) {
   FactStore store;
   if (kind == StoreKind::kPopulated) {
     for (int i = 0; i < 23; ++i) {
-      store.dict().Intern(Value::String("unrelated" + std::to_string(i)));
+      store.dict().Intern(Value::String(StrCat({"unrelated", std::to_string(i)})));
     }
     Load(store, edb);
   }

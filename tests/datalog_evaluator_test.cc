@@ -4,6 +4,7 @@
 #include <string>
 
 #include "common/rng.h"
+#include "common/string_util.h"
 #include "datalog/evaluator.h"
 #include "datalog/fact_store.h"
 #include "datalog/parser.h"
@@ -105,8 +106,8 @@ TEST_P(EvaluatorModes, TransitiveClosure) {
   std::vector<std::pair<std::string, relational::Row>> edb;
   const int n = 12;
   for (int i = 0; i < n - 1; ++i) {
-    edb.push_back({"e", {S("n" + std::to_string(i)),
-                         S("n" + std::to_string(i + 1))}});
+    edb.push_back({"e", {S(StrCat({"n", std::to_string(i)})),
+                         S(StrCat({"n", std::to_string(i + 1)}))}});
   }
   auto result = Eval(program, edb, "tc", GetParam());
   EXPECT_EQ(result.size(), static_cast<std::size_t>(n * (n - 1) / 2));
@@ -152,8 +153,8 @@ TEST_P(EvaluatorModes, MutualRecursion) {
       "even(Y) :- succ(X, Y), odd(X).\n");
   std::vector<std::pair<std::string, relational::Row>> edb;
   for (int i = 0; i < 6; ++i) {
-    edb.push_back({"succ", {S("s" + std::to_string(i)),
-                            S("s" + std::to_string(i + 1))}});
+    edb.push_back({"succ", {S(StrCat({"s", std::to_string(i)})),
+                            S(StrCat({"s", std::to_string(i + 1)}))}});
   }
   auto even = Eval(program, edb, "even", GetParam());
   auto odd = Eval(program, edb, "odd", GetParam());
@@ -217,8 +218,8 @@ TEST_P(SemiNaiveResumability, WatermarksReprocessOnlyNewFacts) {
   const int n = 30;
   for (int i = 0; i < n; ++i) {
     ASSERT_TRUE(store
-                    .Insert("e", {S("a" + std::to_string(i)),
-                                  S("a" + std::to_string(i + 1))})
+                    .Insert("e", {S(StrCat({"a", std::to_string(i)})),
+                                  S(StrCat({"a", std::to_string(i + 1)}))})
                     .ok());
   }
   auto evaluator = Evaluator::Create(program, &store, GetParam());
@@ -230,8 +231,8 @@ TEST_P(SemiNaiveResumability, WatermarksReprocessOnlyNewFacts) {
 
   // One new edge extends the chain; the resumed run derives exactly one
   // fact and its match work is O(delta), not O(closure).
-  ASSERT_TRUE(store.Insert("e", {S("a" + std::to_string(n)),
-                                 S("a" + std::to_string(n + 1))})
+  ASSERT_TRUE(store.Insert("e", {S(StrCat({"a", std::to_string(n)})),
+                                 S(StrCat({"a", std::to_string(n + 1)}))})
                   .ok());
   ASSERT_TRUE((*evaluator)->Run().ok());
   const EvalStats second = (*evaluator)->stats();
@@ -256,8 +257,8 @@ TEST(EvaluatorStatsTest, StatsReportProbesScratchAndRounds) {
   FactStore store;
   for (int i = 0; i < 10; ++i) {
     ASSERT_TRUE(store
-                    .Insert("e", {S("n" + std::to_string(i)),
-                                  S("n" + std::to_string(i + 1))})
+                    .Insert("e", {S(StrCat({"n", std::to_string(i)})),
+                                  S(StrCat({"n", std::to_string(i + 1)}))})
                     .ok());
   }
   auto evaluator = Evaluator::Create(program, &store);
@@ -281,8 +282,8 @@ TEST(EvaluatorStatsTest, SemiNaiveDoesLessWorkThanNaiveOnChains) {
     FactStore store;
     for (int i = 0; i < n - 1; ++i) {
       EXPECT_TRUE(store
-                      .Insert("e", {S("n" + std::to_string(i)),
-                                    S("n" + std::to_string(i + 1))})
+                      .Insert("e", {S(StrCat({"n", std::to_string(i)})),
+                                    S(StrCat({"n", std::to_string(i + 1)}))})
                       .ok());
     }
     auto evaluator = Evaluator::Create(program, &store, mode);
@@ -316,21 +317,21 @@ TEST_P(RandomProgramAgreement, NaiveEqualsSemiNaive) {
     for (int b = 0; b < body_size; ++b) {
       Atom atom;
       bool edb = rng.Chance(0.5) || b == 0;
-      atom.predicate = edb ? "e" + std::to_string(rng.Below(num_edb))
-                           : "p" + std::to_string(rng.Below(num_idb));
+      atom.predicate = edb ? StrCat({"e", std::to_string(rng.Below(num_edb))})
+                           : StrCat({"p", std::to_string(rng.Below(num_idb))});
       for (int t = 0; t < 2; ++t) {
         // Reuse a variable sometimes to create joins.
         if (!vars.empty() && rng.Chance(0.5)) {
           atom.terms.push_back(Term::Var(vars[rng.Below(vars.size())]));
         } else {
-          std::string name = "V" + std::to_string(vars.size());
+          std::string name = StrCat({"V", std::to_string(vars.size())});
           vars.push_back(name);
           atom.terms.push_back(Term::Var(name));
         }
       }
       rule.body.push_back(std::move(atom));
     }
-    rule.head.predicate = "p" + std::to_string(rng.Below(num_idb));
+    rule.head.predicate = StrCat({"p", std::to_string(rng.Below(num_idb))});
     for (int t = 0; t < 2; ++t) {
       rule.head.terms.push_back(Term::Var(vars[rng.Below(vars.size())]));
     }
@@ -341,13 +342,13 @@ TEST_P(RandomProgramAgreement, NaiveEqualsSemiNaive) {
   for (int e = 0; e < num_edb; ++e) {
     int facts = 2 + static_cast<int>(rng.Below(6));
     for (int f = 0; f < facts; ++f) {
-      edb.push_back({"e" + std::to_string(e),
-                     {S("k" + std::to_string(rng.Below(5))),
-                      S("k" + std::to_string(rng.Below(5)))}});
+      edb.push_back({StrCat({"e", std::to_string(e)}),
+                     {S(StrCat({"k", std::to_string(rng.Below(5))})),
+                      S(StrCat({"k", std::to_string(rng.Below(5))}))}});
     }
   }
   for (int p = 0; p < num_idb; ++p) {
-    std::string name = "p" + std::to_string(p);
+    std::string name = StrCat({"p", std::to_string(p)});
     auto naive = Eval(program, edb, name, Evaluator::Mode::kNaive);
     auto semi = Eval(program, edb, name, Evaluator::Mode::kSemiNaive);
     EXPECT_EQ(naive, semi) << "predicate " << name << " differs, seed "

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "common/string_util.h"
 #include "datalog/ast.h"
 #include "datalog/parser.h"
 
@@ -71,7 +72,7 @@ TEST_P(RandomProgramRoundTrip, PrintParsePrintIsStable) {
       double dice = rng.NextDouble();
       if (dice < 0.4 && (!vars.empty() || allow_fresh_var)) {
         if (allow_fresh_var && (vars.empty() || rng.Chance(0.4))) {
-          vars.push_back("V" + std::to_string(vars.size()));
+          vars.push_back(StrCat({"V", std::to_string(vars.size())}));
           return Term::Var(vars.back());
         }
         return Term::Var(vars[rng.Below(vars.size())]);
@@ -85,18 +86,18 @@ TEST_P(RandomProgramRoundTrip, PrintParsePrintIsStable) {
             Value::Double(double(rng.Range(0, 100)) + 0.25));
       }
       return Term::Constant(
-          Value::String("k" + std::to_string(rng.Below(20))));
+          Value::String(StrCat({"k", std::to_string(rng.Below(20))})));
     };
     for (int b = 0; b < body_size; ++b) {
       Atom atom;
-      atom.predicate = "p" + std::to_string(rng.Below(5));
+      atom.predicate = StrCat({"p", std::to_string(rng.Below(5))});
       int arity = 1 + static_cast<int>(rng.Below(3));
       for (int t = 0; t < arity; ++t) {
         atom.terms.push_back(random_term(/*allow_fresh_var=*/true));
       }
       rule.body.push_back(std::move(atom));
     }
-    rule.head.predicate = "h" + std::to_string(rng.Below(3));
+    rule.head.predicate = StrCat({"h", std::to_string(rng.Below(3))});
     int head_arity = 1 + static_cast<int>(rng.Below(3));
     for (int t = 0; t < head_arity; ++t) {
       // Head terms: constants, or body variables when available (keeps

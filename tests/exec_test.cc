@@ -104,7 +104,7 @@ TEST(SourceDrivenEvaluatorTest, Example21TraceIssuesProductiveQueries) {
 
   std::set<std::string> productive;
   for (const auto& record : result->log.records()) {
-    if (record.tuples_returned > 0) productive.insert(record.RenderedQuery());
+    if (record.tuples_returned() > 0) productive.insert(record.RenderedQuery());
   }
   EXPECT_EQ(productive, (std::set<std::string>{
                             "v1(t1, C)", "v1(t2, C)", "v2(S, c2)",
@@ -130,7 +130,7 @@ TEST(SourceDrivenEvaluatorTest, Example21TraceMatchesTable2Order) {
   ASSERT_TRUE(result.ok());
   std::vector<std::string> productive;
   for (const auto& record : result->log.records()) {
-    if (record.tuples_returned > 0) productive.push_back(record.RenderedQuery());
+    if (record.tuples_returned() > 0) productive.push_back(record.RenderedQuery());
   }
   EXPECT_EQ(productive,
             (std::vector<std::string>{"v1(t1, C)", "v3(c1, A, P)",

@@ -3,8 +3,8 @@
 // Most source queries of a wide frontier return nothing, so what a miss
 // costs between the frontier and the access log sets the answer time:
 // copying a schema, building an empty answer relation, probing a warm
-// in-memory source and dispatching a serial batch of misses must not
-// allocate per query.
+// in-memory source and dispatching a serial round of misses through the
+// scheduler into the access log must not allocate per query.
 
 #include <gtest/gtest.h>
 
@@ -15,8 +15,10 @@
 #include <vector>
 
 #include "alloc_counter.h"
+#include "capability/access_log.h"
 #include "capability/in_memory_source.h"
 #include "capability/source.h"
+#include "common/string_util.h"
 #include "common/value.h"
 #include "common/value_dictionary.h"
 #include "relational/relation.h"
@@ -49,8 +51,8 @@ InMemorySource MakeSource(std::size_t rows) {
   SourceView view = SourceView::MakeUnsafe("v", {"Key", "Val"}, "bf");
   Relation data(view.schema());
   for (std::size_t i = 0; i < rows; ++i) {
-    data.InsertUnsafe({Value::String("k" + std::to_string(i)),
-                       Value::String("w" + std::to_string(i))});
+    data.InsertUnsafe({Value::String(StrCat({"k", std::to_string(i)})),
+                       Value::String(StrCat({"w", std::to_string(i)}))});
   }
   return InMemorySource::MakeUnsafe(std::move(view), std::move(data));
 }
@@ -132,38 +134,55 @@ TEST(FetchAllocTest, WarmInMemorySourceMissAllocatesNothing) {
 TEST(FetchAllocTest, SerialBatchOfMissesAllocatesPerBatchNotPerQuery) {
   constexpr std::size_t kMisses = 64;
   InMemorySource source = MakeSource(2 * kMisses);
+  const auto view = std::make_shared<const SourceView>(source.view());
   const ValueDictionaryPtr dict = std::make_shared<ValueDictionary>();
   // Distinct values the source stores only as Val: no two requests
   // coalesce, and every probe misses.
   auto misses = [&](std::size_t count) {
-    std::vector<runtime::FetchRequest> requests(count);
+    runtime::FetchRound round;
     for (std::size_t i = 0; i < count; ++i) {
-      requests[i].source = &source;
-      requests[i].query = KeyQuery(source, dict, "w" + std::to_string(i));
+      const ValueId id =
+          dict->Intern(Value::String(StrCat({"w", std::to_string(i)})));
+      round.Add(/*channel=*/0, {&id, 1});
     }
-    return requests;
+    return round;
   };
-  const std::vector<runtime::FetchRequest> batch = misses(kMisses);
-  const std::vector<runtime::FetchRequest> double_batch = misses(2 * kMisses);
+  const runtime::FetchRound round = misses(kMisses);
+  const runtime::FetchRound double_round = misses(2 * kMisses);
   ASSERT_EQ(source.Execute(KeyQuery(source, dict, "k0"))->size(), 1u);
 
-  // A fresh scheduler per batch: both pay the same first-sight state.
-  auto batch_allocations = [&](const std::vector<runtime::FetchRequest>&
-                                   requests) {
+  // A fresh scheduler and log per round: both pay the same first-sight
+  // state. The round goes through the scheduler and into the log, as
+  // the evaluator's commit loop writes a miss.
+  auto round_allocations = [&](const runtime::FetchRound& requests) {
     runtime::FetchScheduler scheduler(runtime::RuntimeOptions{}, dict);
-    std::vector<runtime::FetchResult> results;
-    const std::size_t allocations = CountAllocations(
-        [&] { results = scheduler.ExecuteBatch(requests); });
-    EXPECT_EQ(results.size(), requests.size());
-    for (const runtime::FetchResult& result : results) {
-      EXPECT_TRUE(result.tuples.ok() && result.tuples->empty());
-      EXPECT_EQ(result.attempts, 1u);
+    scheduler.AddChannel(&source, {0});
+    capability::AccessLog log;
+    log.AddChannel(view, {0}, dict);
+    runtime::FetchOutcomes out;
+    const std::size_t allocations = CountAllocations([&] {
+      scheduler.ExecuteRound(requests, &out);
+      log.MakeRoomFor(requests.size(), requests.ids.size());
+      for (std::size_t i = 0; i < requests.size(); ++i) {
+        log.Append(/*channel=*/0, /*round=*/0, requests.IdsOf(i),
+                   out.RowsOf(i));
+      }
+    });
+    EXPECT_EQ(out.size(), requests.size());
+    for (const runtime::FetchOutcome& outcome : out.outcomes) {
+      EXPECT_TRUE(outcome.ok());
+      EXPECT_EQ(outcome.answer, runtime::FetchOutcome::kNone);
+      EXPECT_EQ(outcome.attempts, 1u);
     }
     EXPECT_EQ(scheduler.report().total_attempts, requests.size());
+    EXPECT_EQ(log.total_queries(), requests.size());
+    EXPECT_EQ(log.productive_queries(), 0u);
+    EXPECT_EQ(log.records().back().RenderedQuery(),
+              StrCat({"v(w", std::to_string(requests.size() - 1), ", V)"}));
     return allocations;
   };
-  const std::size_t single = batch_allocations(batch);
-  const std::size_t twice = batch_allocations(double_batch);
+  const std::size_t single = round_allocations(round);
+  const std::size_t twice = round_allocations(double_round);
   EXPECT_EQ(twice, single) << "a miss allocates "
                            << (double(twice) - double(single)) / kMisses
                            << " times per query";

@@ -105,9 +105,9 @@ std::string RunCase(const std::string& label, const SourceCatalog& catalog,
   if (!report.ok()) return label + " error=" + report.status().ToString();
   const ExecResult& exec = report->exec;
   for (const auto& record : exec.log.records()) {
-    if (record.query.ids.size() >= 2) ++coverage->multi_bound_queries;
-    if (record.query.ids.empty()) ++coverage->unbound_queries;
-    if (!record.error.empty()) ++coverage->failed_fetches;
+    if (record.query_ids().size() >= 2) ++coverage->multi_bound_queries;
+    if (record.query_ids().empty()) ++coverage->unbound_queries;
+    if (!record.error().empty()) ++coverage->failed_fetches;
   }
   if (exec.budget_exhausted) ++coverage->budget_stops;
   coverage->skipped_dynamic += exec.fetch_report.skipped_dynamic;

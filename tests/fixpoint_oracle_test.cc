@@ -30,6 +30,7 @@
 #include "analysis/binding_flow.h"
 #include "analysis/executability.h"
 #include "capability/catalog_text.h"
+#include "common/string_util.h"
 #include "datalog/parser.h"
 #include "paperdata/paper_examples.h"
 #include "planner/program_optimizer.h"
@@ -361,10 +362,7 @@ TEST(FixpointOracleTest, GeneratedQueries) {
         auto query = workload::GenerateQuery(instance, query_spec);
         if (!query.ok()) continue;
         ++found;
-        const std::string label = "topology " +
-                                  std::to_string(int(topology)) + " seed " +
-                                  std::to_string(seed) + " query " +
-                                  query->ToString();
+        const std::string label = StrCat({"topology ", std::to_string(int(topology)), " seed ", std::to_string(seed), " query ", query->ToString()});
         ExpectPlannedProgramsMatch(*query, instance.views, instance.domains,
                                    planner::BuilderOptions(), label);
         ExpectPlannedProgramsMatch(*query, instance.views, grouped,

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "exec/query_answerer.h"
 #include "paperdata/paper_examples.h"
 #include "runtime/latency_model.h"
@@ -7,11 +9,12 @@
 namespace limcap::exec {
 namespace {
 
-capability::AccessRecord Record(const char* source, std::size_t round) {
-  capability::AccessRecord record;
-  record.source = source;
-  record.round = round;
-  return record;
+/// A channel on a one-attribute, free view named `source`.
+uint32_t Channel(capability::AccessLog& log, const char* source) {
+  return log.AddChannel(std::make_shared<const capability::SourceView>(
+                            capability::SourceView::MakeUnsafe(source, {"X"},
+                                                               "f")),
+                        {}, std::make_shared<ValueDictionary>());
 }
 
 TEST(LatencyModelTest, Lookup) {
@@ -25,10 +28,12 @@ TEST(LatencyModelTest, Lookup) {
 TEST(LatencyModelTest, HandComputedMakespans) {
   capability::AccessLog log;
   // Round 0: two queries to a, one to b. Round 1: one query to b.
-  log.Record(Record("a", 0));
-  log.Record(Record("a", 0));
-  log.Record(Record("b", 0));
-  log.Record(Record("b", 1));
+  const uint32_t a = Channel(log, "a");
+  const uint32_t b = Channel(log, "b");
+  log.Append(a, 0, {}, 0);
+  log.Append(a, 0, {}, 0);
+  log.Append(b, 0, {}, 0);
+  log.Append(b, 1, {}, 0);
   runtime::LatencyModel model;
   model.per_source_ms = {{"a", 100}, {"b", 30}};
 

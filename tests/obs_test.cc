@@ -17,6 +17,7 @@
 #include <string>
 
 #include "capability/in_memory_source.h"
+#include "common/string_util.h"
 #include "exec/query_answerer.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
@@ -304,7 +305,7 @@ TEST_P(ObsConsistencyTest, PaperExampleAggregatesReconcile) {
 INSTANTIATE_TEST_SUITE_P(PaperExamples, ObsConsistencyTest,
                          ::testing::Values(21, 41, 51, 52),
                          [](const ::testing::TestParamInfo<int>& info) {
-                           return "Example" + std::to_string(info.param);
+                           return StrCat({"Example", std::to_string(info.param)});
                          });
 
 TEST(ObsConsistencyTest, FaultInjectedRunReconciles) {

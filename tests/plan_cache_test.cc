@@ -1,3 +1,4 @@
+#include "common/string_util.h"
 #include "planner/plan_cache.h"
 
 #include <gtest/gtest.h>
@@ -329,7 +330,7 @@ TEST(PlanCacheTest, ParallelLookupsInsertsAndInvalidationsAreSafe) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&cache, t] {
       for (int i = 0; i < kIters; ++i) {
-        std::string name = "sig" + std::to_string((t + i) % 6);
+        std::string name = StrCat({"sig", std::to_string((t + i) % 6)});
         uint64_t fp = uint64_t(i % 2) + 1;
         if (i % 7 == 0) {
           cache.Invalidate(fp);
@@ -469,7 +470,7 @@ void ExpectColdAnswerBuildsOnlyWhatRuns(const SourceCatalog& catalog,
 
 TEST(ColdPlanningTest, PaperExamplesBuildOnlyTheExecutedProgram) {
   for (int example_index = 0; example_index < 4; ++example_index) {
-    SCOPED_TRACE("example " + std::to_string(example_index));
+    SCOPED_TRACE(StrCat({"example ", std::to_string(example_index)}));
     PaperExample example = MakeExample(example_index);
     ExpectColdAnswerBuildsOnlyWhatRuns(example.catalog, example.domains,
                                        example.query);
@@ -565,7 +566,7 @@ TEST(PlanCacheTest, DistinctGateModesDoNotShareEntries) {
 ValueDictionaryPtr PrepopulatedDictionary(int count) {
   auto dict = std::make_shared<ValueDictionary>();
   for (int i = 0; i < count; ++i) {
-    dict->Intern(Value::String("unrelated" + std::to_string(i)));
+    dict->Intern(Value::String(StrCat({"unrelated", std::to_string(i)})));
   }
   return dict;
 }
@@ -579,10 +580,7 @@ TEST(PlanCacheTest, WarmAnswerOnPrepopulatedDictionaryMatchesCold) {
     for (const auto& [config_name, base_options] : EvaluatorConfigs()) {
       for (const auto& [planned_with, warm_with] :
            {std::pair{0, 11}, std::pair{11, 0}, std::pair{5, 11}}) {
-        SCOPED_TRACE("example " + std::to_string(example_index) +
-                     " config " + config_name + " planned over " +
-                     std::to_string(planned_with) + " values, warm over " +
-                     std::to_string(warm_with));
+        SCOPED_TRACE(StrCat({"example ", std::to_string(example_index), " config ", config_name, " planned over ", std::to_string(planned_with), " values, warm over ", std::to_string(warm_with)}));
         PaperExample example = MakeExample(example_index);
         QueryAnswerer answerer(&example.catalog, example.domains);
         PlanCache cache;

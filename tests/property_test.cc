@@ -270,12 +270,12 @@ TEST_P(RandomInstanceProperties, NoDuplicateSourceQueries) {
   ASSERT_TRUE(report.ok()) << report.status();
   std::set<std::pair<std::string, std::string>> seen;
   for (const auto& record : report->exec.log.records()) {
-    EXPECT_TRUE(seen.emplace(record.source, record.RenderedQuery()).second)
+    EXPECT_TRUE(seen.emplace(record.source(), record.RenderedQuery()).second)
         << "duplicate query " << record.RenderedQuery();
     const capability::SourceView* view =
-        instance_.catalog.FindView(record.source).value();
+        instance_.catalog.FindView(record.source()).value();
     capability::AttributeSet bound;
-    for (const auto& [attribute, value] : record.query.DecodedBindings(*view)) {
+    for (const auto& [attribute, value] : record.query().DecodedBindings(*view)) {
       bound.insert(attribute);
     }
     EXPECT_TRUE(view->RequirementsSatisfiedBy(bound))

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "common/string_util.h"
 #include "exec/query_answerer.h"
 #include "paperdata/paper_examples.h"
 #include "planner/query_parser.h"
@@ -94,18 +95,18 @@ TEST_P(RandomQueryRoundTrip, ToStringParsesBack) {
         value = Value::Double(double(rng.Range(0, 50)) + 0.5);
         break;
       case 2:
-        value = Value::String("v" + std::to_string(rng.Below(9)));
+        value = Value::String(StrCat({"v", std::to_string(rng.Below(9))}));
         break;
       default:
-        value = Value::String("needs quoting " + std::to_string(i));
+        value = Value::String(StrCat({"needs quoting ", std::to_string(i)}));
         break;
     }
-    inputs.push_back({"In" + std::to_string(i), std::move(value)});
+    inputs.push_back({StrCat({"In", std::to_string(i)}), std::move(value)});
   }
   std::vector<std::string> outputs;
   int output_count = 1 + static_cast<int>(rng.Below(3));
   for (int i = 0; i < output_count; ++i) {
-    outputs.push_back("Out" + std::to_string(i));
+    outputs.push_back(StrCat({"Out", std::to_string(i)}));
   }
   std::vector<Connection> connections;
   int connection_count = 1 + static_cast<int>(rng.Below(3));
@@ -113,7 +114,7 @@ TEST_P(RandomQueryRoundTrip, ToStringParsesBack) {
     std::vector<std::string> names;
     int size = 1 + static_cast<int>(rng.Below(3));
     for (int v = 0; v < size; ++v) {
-      names.push_back("v" + std::to_string(c * 3 + v + 1));
+      names.push_back(StrCat({"v", std::to_string(c * 3 + v + 1)}));
     }
     connections.emplace_back(std::move(names));
   }

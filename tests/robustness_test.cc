@@ -8,6 +8,7 @@
 #include <memory>
 
 #include "capability/in_memory_source.h"
+#include "common/string_util.h"
 #include "exec/oracle.h"
 #include "exec/query_answerer.h"
 #include "paperdata/paper_examples.h"
@@ -138,8 +139,8 @@ TEST(RobustnessTest, SelfFeedingSourceTerminates) {
   SourceView next = SourceView::MakeUnsafe("next", {"Cd", "NextCd"}, "bf");
   Relation data(next.schema());
   for (int i = 0; i < 30; ++i) {
-    data.InsertUnsafe({Value::String("c" + std::to_string(i)),
-                       Value::String("c" + std::to_string(i + 1))});
+    data.InsertUnsafe({Value::String(StrCat({"c", std::to_string(i)})),
+                       Value::String(StrCat({"c", std::to_string(i + 1)}))});
   }
   catalog.RegisterUnsafe(std::make_unique<InMemorySource>(
       InMemorySource::MakeUnsafe(next, std::move(data))));

@@ -8,12 +8,16 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "capability/source_catalog.h"
+#include "common/string_util.h"
 #include "exec/fingerprint.h"
 #include "exec/query_answerer.h"
 #include "mediator/mediator.h"
@@ -60,7 +64,7 @@ std::string SoloFingerprint(const MixedWorkload& workload,
                             const ExecOptions& options) {
   QueryAnswerer answerer(&workload.catalog, workload.domains);
   auto report = answerer.Answer(query, options);
-  if (!report.ok()) return "error: " + report.status().ToString();
+  if (!report.ok()) return StrCat({"error: ", report.status().ToString()});
   return OrderedFingerprint(report->exec);
 }
 
@@ -103,7 +107,7 @@ TEST(ServeBitIdentityTest, ConcurrentAnswersMatchSoloAcrossConfigs) {
               actual[i] =
                   response.report.ok()
                       ? OrderedFingerprint(response.report->exec)
-                      : "error: " + response.report.status().ToString();
+                      : StrCat({"error: ", response.report.status().ToString()});
               std::lock_guard<std::mutex> lock(mutex);
               ++done;
               all_done.notify_all();
@@ -209,15 +213,71 @@ TEST(ServeShutdownTest, GracefulDrainCompletesAcceptedThenShedsNew) {
   EXPECT_EQ(stats.queue_depth, 0u);
 }
 
+/// Forwards to a wrapped source, except that the first call blocks until
+/// Release(): a request whose answer reaches it holds its worker there.
+class FirstCallGate : public capability::Source {
+ public:
+  FirstCallGate(capability::Source* wrapped, std::mutex* mutex,
+                std::condition_variable* changed, int* state)
+      : wrapped_(wrapped), mutex_(mutex), changed_(changed), state_(state) {}
+
+  const capability::SourceView& view() const override {
+    return wrapped_->view();
+  }
+  Result<relational::Relation> Execute(
+      const capability::SourceQuery& query) override {
+    std::unique_lock<std::mutex> lock(*mutex_);
+    ++calls_;
+    if (*state_ == kClosed) {
+      *state_ = kHolding;
+      changed_->notify_all();
+      changed_->wait(lock, [&] { return *state_ == kOpen; });
+    }
+    lock.unlock();
+    return wrapped_->Execute(query);
+  }
+  std::size_t calls() const {
+    std::lock_guard<std::mutex> lock(*mutex_);
+    return calls_;
+  }
+
+  /// The gate's states, shared by every gated source of one catalog.
+  static constexpr int kClosed = 0;   ///< the next call blocks
+  static constexpr int kHolding = 1;  ///< a call is blocked in it
+  static constexpr int kOpen = 2;     ///< every call passes
+
+ private:
+  capability::Source* wrapped_;
+  std::mutex* mutex_;
+  std::condition_variable* changed_;
+  int* state_;
+  std::size_t calls_ = 0;
+};
+
 TEST(ServeDeadlineTest, RequestExpiredInQueueFailsWithoutExecuting) {
   PaperExample example = paperdata::MakeExample21();
-  Mediator mediator(&example.catalog, example.domains);
+  // Every source of the example behind one gate: the first request's
+  // first source call holds the single worker until the requests behind
+  // it are queued and their deadlines have passed, however the threads
+  // are scheduled.
+  std::mutex gate_mutex;
+  std::condition_variable gate_changed;
+  int gate_state = FirstCallGate::kClosed;
+  capability::SourceCatalog gated;
+  std::vector<const FirstCallGate*> gates;
+  for (const std::string& name : example.catalog.ViewNames()) {
+    auto gate = std::make_unique<FirstCallGate>(
+        *example.catalog.Find(name), &gate_mutex, &gate_changed, &gate_state);
+    gates.push_back(gate.get());
+    gated.RegisterUnsafe(std::move(gate));
+  }
+  Mediator mediator(&gated, example.domains);
   ServeOptions options;
   options.workers = 1;
   ServeSession session(&mediator, options);
 
   // The first request occupies the single worker; the ones behind it
-  // carry a deadline far below any real queue wait.
+  // carry a deadline far below their queue wait.
   ServeRequest first;
   first.query = example.query;
   std::atomic<bool> first_ok{false};
@@ -227,12 +287,21 @@ TEST(ServeDeadlineTest, RequestExpiredInQueueFailsWithoutExecuting) {
                             first_ok = response.report.ok();
                           })
                   .ok());
+  {
+    std::unique_lock<std::mutex> lock(gate_mutex);
+    gate_changed.wait(
+        lock, [&] { return gate_state == FirstCallGate::kHolding; });
+  }
+  std::size_t first_calls = 0;
+  for (const FirstCallGate* gate : gates) first_calls += gate->calls();
+  EXPECT_EQ(first_calls, 1u);
   constexpr std::size_t kExpiring = 4;
+  constexpr double kDeadlineMs = 0.01;
   std::atomic<std::size_t> expired{0};
   for (std::size_t i = 0; i < kExpiring; ++i) {
     ServeRequest request;
     request.query = example.query;
-    request.deadline_ms = 0.01;
+    request.deadline_ms = kDeadlineMs;
     ASSERT_TRUE(
         session
             .Submit(std::move(request),
@@ -245,12 +314,28 @@ TEST(ServeDeadlineTest, RequestExpiredInQueueFailsWithoutExecuting) {
                     })
             .ok());
   }
+  // sleep_for waits at least this long: every queued request has now
+  // waited past its deadline before the worker can dequeue it.
+  std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  {
+    std::lock_guard<std::mutex> lock(gate_mutex);
+    gate_state = FirstCallGate::kOpen;
+  }
+  gate_changed.notify_all();
   session.Shutdown();
   EXPECT_TRUE(first_ok.load());
   EXPECT_EQ(expired.load(), kExpiring);
   const ServeSession::Stats stats = session.stats();
   EXPECT_EQ(stats.completed, 1u);
   EXPECT_EQ(stats.failed, kExpiring);
+  // The expired requests made no source call: every call was the first
+  // request's, as many as a solo answer makes.
+  QueryAnswerer answerer(&example.catalog, example.domains);
+  auto solo = answerer.Answer(example.query);
+  ASSERT_TRUE(solo.ok());
+  std::size_t calls = 0;
+  for (const FirstCallGate* gate : gates) calls += gate->calls();
+  EXPECT_EQ(calls, solo->exec.log.total_queries());
 }
 
 TEST(ServeMetricsTest, ServerRegistryMergesPerQueryCountersOnce) {

@@ -133,7 +133,7 @@ TEST(StaticPruneTest, PruningIrrelevantChannelsSavesSourceQueries) {
   // The decoy fetches were logged in the ungated run.
   bool baseline_fetched_decoy = false;
   for (const auto& record : baseline->exec.log.records()) {
-    if (record.source == "d1" || record.source == "d2") {
+    if (record.source() == "d1" || record.source() == "d2") {
       baseline_fetched_decoy = true;
     }
   }

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "common/string_util.h"
 #include "exec/oracle.h"
 #include "exec/query_answerer.h"
 #include "planner/query_parser.h"
@@ -48,9 +49,9 @@ TEST(GeneratorTest, ChainTopologyShape) {
   for (std::size_t i = 0; i < 5; ++i) {
     EXPECT_EQ(instance.views[i].pattern().ToString(), "bf");
     EXPECT_EQ(instance.views[i].schema().attribute(0),
-              "A" + std::to_string(i));
+              StrCat({"A", std::to_string(i)}));
     EXPECT_EQ(instance.views[i].schema().attribute(1),
-              "A" + std::to_string(i + 1));
+              StrCat({"A", std::to_string(i + 1)}));
   }
 }
 
