@@ -36,7 +36,11 @@
 // the heap allocations per source query of each, counted by the global
 // operator new of alloc_counter.cc (self-check: serial dispatch makes at
 // most 0.3 per query, and more than none, so a counter that stopped
-// linking fails). Output is one JSON row per configuration.
+// linking fails). A memo section times one in-memory source call whose
+// key the source translates from the caller's dictionary, under three
+// traffic shapes: one session dictionary, eight in turn, and a new
+// dictionary per call (reported, with no timing gate; self-check: every
+// call answers as expected). Output is one JSON row per configuration.
 
 #include <algorithm>
 #include <atomic>
@@ -53,8 +57,10 @@
 #include "common/rng.h"
 #include "common/string_util.h"
 #include "common/value.h"
+#include "common/value_dictionary.h"
 #include "exec/query_answerer.h"
 #include "planner/program_builder.h"
+#include "relational/relation.h"
 #include "runtime/fault_injection.h"
 #include "workload/generator.h"
 
@@ -150,6 +156,33 @@ void EmitRow(const std::string& bench, const Run& run,
       .Set("hedge_wins", double(fetch.hedge_wins))
       .Set("degraded", fetch.degraded() ? "true" : "false")
       .Set("wall_ms", run.wall_ms);
+}
+
+/// Wall nanoseconds per call of `calls` source calls, after one warm-up
+/// pass: call c binds Key to `ids[c % ids.size()]` of
+/// `dicts[c % dicts.size()]`. Counts in `*unexpected` the calls that fail
+/// or match a row (every probe value is stored, never as a Key).
+double SourceCallNs(InMemorySource& source,
+                    const std::vector<limcap::ValueDictionaryPtr>& dicts,
+                    const std::vector<limcap::ValueId>& ids,
+                    std::size_t calls, std::size_t* unexpected) {
+  limcap::capability::SourceQuery query;
+  query.positions = {0};
+  query.ids = {0};
+  auto run = [&] {
+    for (std::size_t c = 0; c < calls; ++c) {
+      query.dict = dicts[c % dicts.size()];
+      query.ids[0] = ids[c % ids.size()];
+      auto answer = source.Execute(query);
+      if (!answer.ok() || !answer->empty()) ++*unexpected;
+    }
+  };
+  run();
+  const auto start = std::chrono::steady_clock::now();
+  run();
+  const auto stop = std::chrono::steady_clock::now();
+  return std::chrono::duration<double, std::nano>(stop - start).count() /
+         double(calls);
 }
 
 Run AnswerUnoptimizedOnce(const SourceCatalog& catalog,
@@ -750,6 +783,100 @@ int main() {
           ++failures;
         }
       }
+    }
+  }
+
+  // ------------------------------------------------------------------
+  // Translation memo traffic: one InMemorySource with its own dictionary
+  // (1024 rows (k<i>, w<i>)), asked for Key = w<i>, a value it stores
+  // only as a Val, so every call translates its key, probes and misses,
+  // as most wide-frontier queries do. The caller dictionaries are
+  //   one_session     — one session dictionary (one answer's traffic),
+  //   eight_sessions  — eight session dictionaries in turn, call by call
+  //                     (serve workers sharing a catalog),
+  //   fresh_per_call  — a different one-value dictionary on every call
+  //                     (concurrent dispatch's private per-fetch copies).
+  // Each session dictionary holds over 20k values, so a memo take-over
+  // costing time in proportion to a dictionary would show in the last
+  // two rows.
+  {
+    constexpr std::size_t kRows = 1024;
+    constexpr std::size_t kFillers = 20000;
+    constexpr std::size_t kCalls = std::size_t{1} << 18;
+    auto view =
+        limcap::capability::SourceView::MakeUnsafe("v", {"Key", "Val"}, "bf");
+    limcap::relational::Relation data(view.schema());
+    for (std::size_t i = 0; i < kRows; ++i) {
+      data.InsertUnsafe(
+          {limcap::Value::String(limcap::StrCat({"k", std::to_string(i)})),
+           limcap::Value::String(limcap::StrCat({"w", std::to_string(i)}))});
+    }
+    InMemorySource source =
+        InMemorySource::MakeUnsafe(std::move(view), std::move(data));
+    auto probe_value = [](std::size_t i) {
+      return limcap::Value::String(limcap::StrCat({"w", std::to_string(i)}));
+    };
+    // Session dictionary d numbers the probe values after (d + 1) * 2000
+    // fillers, so no two dictionaries agree on an id.
+    std::vector<limcap::ValueDictionaryPtr> sessions;
+    std::vector<std::vector<limcap::ValueId>> session_ids;
+    for (std::size_t d = 0; d < 8; ++d) {
+      auto dict = std::make_shared<limcap::ValueDictionary>();
+      std::vector<limcap::ValueId> ids;
+      for (std::size_t j = 0; j < kFillers; ++j) {
+        if (j == (d + 1) * 2000) {
+          for (std::size_t i = 0; i < kRows; ++i) {
+            ids.push_back(dict->Intern(probe_value(i)));
+          }
+        }
+        dict->Intern(limcap::Value::String(limcap::StrCat(
+            {"s", std::to_string(d), "_", std::to_string(j)})));
+      }
+      sessions.push_back(std::move(dict));
+      session_ids.push_back(std::move(ids));
+    }
+    // Call c of the eight-session row asks dictionary c % 8 for probe
+    // value c / 8 % kRows.
+    std::vector<limcap::ValueId> interleaved;
+    for (std::size_t c = 0; c < 8 * kRows; ++c) {
+      interleaved.push_back(session_ids[c % 8][c / 8 % kRows]);
+    }
+    std::vector<limcap::ValueDictionaryPtr> fresh;
+    for (std::size_t i = 0; i < 4 * kRows; ++i) {
+      fresh.push_back(std::make_shared<limcap::ValueDictionary>());
+      fresh.back()->Intern(probe_value(i % kRows));
+    }
+    std::size_t unexpected = 0;
+    struct Traffic {
+      const char* name;
+      std::size_t dictionaries;
+      double ns_per_call;
+    };
+    const Traffic traffic[] = {
+        {"memo_one_session", 1,
+         SourceCallNs(source, {sessions[0]}, session_ids[0], kCalls,
+                      &unexpected)},
+        {"memo_eight_sessions", 8,
+         SourceCallNs(source, sessions, interleaved, kCalls, &unexpected)},
+        {"memo_fresh_per_call", fresh.size(),
+         SourceCallNs(source, fresh, {0}, kCalls, &unexpected)},
+    };
+    for (const Traffic& row : traffic) {
+      std::printf("{\"bench\": \"%s\", \"dictionaries\": %zu, "
+                  "\"calls\": %zu, \"ns_per_call\": %.1f}\n",
+                  row.name, row.dictionaries, kCalls, row.ns_per_call);
+      reporter.AddRow(row.name)
+          .Set("dictionaries", double(row.dictionaries))
+          .Set("calls", double(kCalls))
+          .Set("ns_per_call", row.ns_per_call);
+    }
+    reporter.Invariant("memo traffic: every call answered, none matched",
+                       unexpected == 0);
+    if (unexpected != 0) {
+      std::fprintf(stderr,
+                   "FAIL: %zu memo-traffic calls failed or matched a row\n",
+                   unexpected);
+      ++failures;
     }
   }
 

@@ -126,10 +126,6 @@ class AccessLog {
     const AccessLog* log_;
   };
 
-  /// Makes room for `count` more channels.
-  void ReserveChannels(std::size_t count) {
-    channels_.reserve(channels_.size() + count);
-  }
   /// Registers a channel — the view (shared: logs outlive the execution
   /// that wrote them), the ascending positions its queries bind, and the
   /// dictionary their ids encode against — and returns its index, the

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <utility>
 
 namespace limcap::capability {
 
@@ -62,18 +63,8 @@ Result<relational::Relation> InMemorySource::Execute(
   // dictionary; a value this source never stored cannot match any tuple.
   // The memo answers every id it has seen before without hashing a Value.
   key_.clear();
-  TranslationMemo* memo = query.ids.empty() ? nullptr : &MemoFor(*query.dict);
   for (ValueId id : query.ids) {
-    if (id >= memo->local.size()) {
-      // Sized to the dictionary, so ids it has handed out never regrow it.
-      memo->local.resize(std::max<std::size_t>(query.dict->size(), id + 1),
-                         kUnknown);
-    }
-    ValueId& local = memo->local[id];
-    if (local == kUnknown &&
-        !data_.dict().Lookup(query.dict->Get(id), &local)) {
-      local = kAbsent;
-    }
+    const ValueId local = LocalId(*query.dict, id);
     if (local == kAbsent) return out;
     key_.push_back(local);
   }
@@ -91,21 +82,44 @@ Result<relational::Relation> InMemorySource::Execute(
   return out;
 }
 
-InMemorySource::TranslationMemo& InMemorySource::MemoFor(
-    const ValueDictionary& dict) {
-  ++memo_clock_;
-  TranslationMemo* victim = &memos_[0];
-  for (TranslationMemo& memo : memos_) {
-    if (memo.dict_identity == dict.identity()) {
-      memo.last_use = memo_clock_;
-      return memo;
-    }
-    if (memo.last_use < victim->last_use) victim = &memo;
+ValueId InMemorySource::LocalId(const ValueDictionary& dict, ValueId id) {
+  if (dict.identity() != memo_identity_) {
+    memo_identity_ = dict.identity();
+    ++memo_generation_;
+    memo_live_ = 0;
   }
-  victim->dict_identity = dict.identity();
-  victim->last_use = memo_clock_;
-  victim->local.clear();
-  return *victim;
+  if (!memo_.empty()) {
+    const MemoEntry& entry = memo_[MemoSlot(id)];
+    if (entry.generation == memo_generation_) return entry.local;
+  }
+  ValueId local = 0;
+  if (!data_.dict().Lookup(dict.Get(id), &local)) local = kAbsent;
+  if (2 * (memo_live_ + 1) > memo_.size()) {
+    // Double, keeping only the live entries.
+    std::vector<MemoEntry> old = std::exchange(
+        memo_, std::vector<MemoEntry>(std::max<std::size_t>(
+                   16, 2 * memo_.size())));
+    for (const MemoEntry& entry : old) {
+      if (entry.generation == memo_generation_) {
+        memo_[MemoSlot(entry.id)] = entry;
+      }
+    }
+  }
+  memo_[MemoSlot(id)] = {memo_generation_, id, local};
+  ++memo_live_;
+  return local;
+}
+
+std::size_t InMemorySource::MemoSlot(ValueId id) const {
+  const std::size_t mask = memo_.size() - 1;
+  // Fibonacci hashing spreads the dense, sequential session ids.
+  std::size_t slot =
+      static_cast<std::size_t>((uint64_t{id} * 0x9E3779B97F4A7C15ull) >> 32) &
+      mask;
+  while (memo_[slot].generation == memo_generation_ && memo_[slot].id != id) {
+    slot = (slot + 1) & mask;
+  }
+  return slot;
 }
 
 }  // namespace limcap::capability

@@ -1,7 +1,6 @@
 #ifndef LIMCAP_CAPABILITY_IN_MEMORY_SOURCE_H_
 #define LIMCAP_CAPABILITY_IN_MEMORY_SOURCE_H_
 
-#include <array>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -41,23 +40,22 @@ class InMemorySource : public Source {
   InMemorySource(SourceView view, relational::Relation data)
       : view_(std::move(view)), data_(std::move(data)) {}
 
-  /// The translation memo of one caller dictionary: `local[id]` is the
-  /// id `data_`'s dictionary gives the caller's value `id`, kAbsent when
-  /// it holds no such value, kUnknown when not looked up yet. Both
-  /// dictionaries only append and `data_` never changes, so an entry
-  /// stays true for as long as the caller's dictionary keeps its
-  /// identity (ValueDictionary::identity()), which never repeats.
-  struct TranslationMemo {
-    uint64_t dict_identity = 0;  ///< 0: slot unused
-    uint64_t last_use = 0;
-    std::vector<ValueId> local;
+  /// One entry of the translation memo: caller id `id` maps to `local`,
+  /// the id `data_`'s dictionary gives the caller's value, or kAbsent
+  /// when it holds no such value. Only entries stamped with the current
+  /// generation are live; any other is an empty slot.
+  struct MemoEntry {
+    uint64_t generation = 0;  ///< 0: never written
+    ValueId id = 0;
+    ValueId local = 0;
   };
-  static constexpr ValueId kUnknown = ~ValueId{0};
-  static constexpr ValueId kAbsent = kUnknown - 1;
+  static constexpr ValueId kAbsent = ~ValueId{0};
 
-  /// The memo of `dict`, taking over the least recently used slot when
-  /// `dict` has none.
-  TranslationMemo& MemoFor(const ValueDictionary& dict);
+  /// `data_`'s id for the value `dict` gives `id`, or kAbsent, through
+  /// the memo.
+  ValueId LocalId(const ValueDictionary& dict, ValueId id);
+  /// The slot of live entry `id`, or the empty slot it would take.
+  std::size_t MemoSlot(ValueId id) const;
 
   SourceView view_;
   relational::Relation data_;
@@ -71,11 +69,21 @@ class InMemorySource : public Source {
   std::vector<std::size_t> columns_;
   relational::IdRow key_;
   relational::IdRow row_;
-  /// Memos of the last few caller dictionaries (under `mutex_`): a few,
-  /// so serve workers answering through one source in alternation keep
-  /// theirs.
-  std::array<TranslationMemo, 4> memos_;
-  uint64_t memo_clock_ = 0;
+  /// The translation memo (under `mutex_`), for the one caller
+  /// dictionary last seen (`memo_identity_`): an open-addressing table,
+  /// linear probing, at most half full. A caller dictionary with another
+  /// identity takes it over by bumping `memo_generation_`, which empties
+  /// every slot at once, so a take-over costs the same however large
+  /// either dictionary is, and the table holds only ids callers sent. A
+  /// dictionary that comes back starts a new generation too: the one
+  /// between may have overwritten slots of its old probe chains. Both
+  /// dictionaries only append and `data_` never changes, so an entry
+  /// stays true while its generation lasts, and identities never repeat
+  /// (ValueDictionary::identity()).
+  std::vector<MemoEntry> memo_;
+  uint64_t memo_identity_ = 0;
+  uint64_t memo_generation_ = 0;
+  std::size_t memo_live_ = 0;
 };
 
 }  // namespace limcap::capability

@@ -225,12 +225,19 @@ Result<ExecResult> SourceDrivenEvaluator::Execute(
   // so circuit-breaker state and the simulated clock carry across rounds.
   runtime::FetchScheduler scheduler(options_.runtime, dict, options_.tracer,
                                     !options_.continue_on_source_error);
-  // The channel table: spec s is channel s of the scheduler and the log.
-  scheduler.ReserveChannels(specs.size());
-  result.log.ReserveChannels(specs.size());
-  for (const FetchSpec& spec : specs) {
-    scheduler.AddChannel(spec.source, spec.bound_positions);
-    result.log.AddChannel(spec.view, spec.bound_positions, dict);
+  // The channel table: spec s is channel s of the scheduler and of the
+  // log, so one index names a request's spec, fetch channel and record
+  // channel.
+  for (std::size_t s = 0; s < specs.size(); ++s) {
+    const FetchSpec& spec = specs[s];
+    const uint32_t fetch_channel =
+        scheduler.AddChannel(spec.source, spec.bound_positions);
+    const uint32_t log_channel =
+        result.log.AddChannel(spec.view, spec.bound_positions, dict);
+    if (fetch_channel != s || log_channel != s) {
+      return Status::Internal(
+          "the scheduler's and the access log's channels are out of step");
+    }
   }
 
   // The runtime-adaptive layer (off by default). The checker re-derives

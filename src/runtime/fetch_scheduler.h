@@ -217,10 +217,6 @@ class FetchScheduler {
   FetchScheduler(const FetchScheduler&) = delete;
   FetchScheduler& operator=(const FetchScheduler&) = delete;
 
-  /// Makes room for `count` more channels.
-  void ReserveChannels(std::size_t count) {
-    channels_.reserve(channels_.size() + count);
-  }
   /// Registers a channel and returns its index, the next one in order.
   /// `positions` must be ascending view-schema positions of `source`.
   uint32_t AddChannel(capability::Source* source,

@@ -377,7 +377,13 @@ TEST(TranslationMemoTest, AlternatingSessionDictionariesAnswerAsUnmemoized) {
   // answered for the wrong dictionary would return the wrong rows.
   auto first = std::make_shared<ValueDictionary>();
   auto second = std::make_shared<ValueDictionary>();
-  const std::vector<std::string> keys = {"k1", "zz", "k5", "w2", "k0", "k7"};
+  // Enough keys that the memo's table grows and its probe chains cross
+  // each other's slots as the two dictionaries take it over in turn.
+  std::vector<std::string> keys = {"k1", "zz", "k5", "w2", "k0", "k7"};
+  for (int i = 0; i < 40; ++i) {
+    keys.push_back(StrCat({"f", std::to_string(i)}));
+    if (i % 8 == 3) keys.push_back(StrCat({"k", std::to_string(i / 8 + 2)}));
+  }
   for (const std::string& key : keys) first->Intern(Value::String(key));
   for (auto it = keys.rbegin(); it != keys.rend(); ++it) {
     second->Intern(Value::String(*it));
@@ -392,6 +398,21 @@ TEST(TranslationMemoTest, AlternatingSessionDictionariesAnswerAsUnmemoized) {
   }
   EXPECT_EQ(AnswerAndReference(source, first, "k5").first,
             (std::vector<relational::Row>{{S("k5"), S("w5")}}));
+  // In bursts, as serve workers interleave their calls to one source: a
+  // dictionary that comes back finds the slots of its old entries partly
+  // overwritten, and must neither read them nor miscount its load.
+  std::size_t next_first = 0;
+  std::size_t next_second = 0;
+  for (int burst = 0; burst < 120; ++burst) {
+    const bool on_first = burst % 2 == 0;
+    for (int call = 0; call < (on_first ? 1 + burst % 9 : 1); ++call) {
+      std::size_t& next = on_first ? next_first : next_second;
+      const std::string& key = keys[next++ % keys.size()];
+      auto [answer, reference] =
+          AnswerAndReference(source, on_first ? first : second, key);
+      EXPECT_EQ(answer, reference) << key << " burst " << burst;
+    }
+  }
 
   // Serve workers answer through one source from several threads, each
   // on its own session dictionary (Execute serializes them).

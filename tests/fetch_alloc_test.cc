@@ -131,6 +131,56 @@ TEST(FetchAllocTest, WarmInMemorySourceMissAllocatesNothing) {
                 {Value::String("k3"), Value::String("w3")}}));
 }
 
+TEST(FetchAllocTest, TranslationMemoGrowsLogarithmically) {
+  constexpr std::size_t kIds = 4096;
+  InMemorySource source = MakeSource(8);
+  // Two caller dictionaries numbering the same values differently.
+  const ValueDictionaryPtr first = std::make_shared<ValueDictionary>();
+  const ValueDictionaryPtr second = std::make_shared<ValueDictionary>();
+  std::vector<ValueId> first_ids;
+  std::vector<ValueId> second_ids;
+  for (std::size_t i = 0; i < kIds; ++i) {
+    first_ids.push_back(
+        first->Intern(Value::String(StrCat({"x", std::to_string(i)}))));
+  }
+  for (std::size_t i = kIds; i-- > 0;) {
+    second_ids.push_back(
+        second->Intern(Value::String(StrCat({"x", std::to_string(i)}))));
+  }
+  SourceQuery query;
+  query.positions = {0};
+  query.ids = {0};
+  auto ask_each = [&](const ValueDictionaryPtr& dict,
+                      const std::vector<ValueId>& ids) {
+    query.dict = dict;
+    std::size_t rows = 0;
+    for (ValueId id : ids) {
+      query.ids[0] = id;
+      rows += source.Execute(query)->size();
+    }
+    return rows;
+  };
+  // The first call sizes the probe scratch.
+  ASSERT_EQ(ask_each(first, {first_ids[0]}), 0u);
+  // kIds ids the source has never seen: the memo's table doubles from 16
+  // slots while it stays at most half full, about log2(2 kIds / 16)
+  // times, never once per id.
+  std::size_t rows = 0;
+  const std::size_t cold = CountAllocations([&] {
+    rows = ask_each(first, first_ids);
+  });
+  EXPECT_EQ(rows, 0u);
+  EXPECT_LE(cold, 12u);
+  // Another caller dictionary takes the memo over without allocating,
+  // and so does the first one when it comes back, however many ids
+  // either has handed out.
+  EXPECT_EQ(CountAllocations([&] { rows = ask_each(second, second_ids); }),
+            0u);
+  EXPECT_EQ(CountAllocations([&] { rows = ask_each(first, first_ids); }),
+            0u);
+  EXPECT_EQ(rows, 0u);
+}
+
 TEST(FetchAllocTest, SerialBatchOfMissesAllocatesPerBatchNotPerQuery) {
   constexpr std::size_t kMisses = 64;
   InMemorySource source = MakeSource(2 * kMisses);
@@ -150,6 +200,18 @@ TEST(FetchAllocTest, SerialBatchOfMissesAllocatesPerBatchNotPerQuery) {
   const runtime::FetchRound round = misses(kMisses);
   const runtime::FetchRound double_round = misses(2 * kMisses);
   ASSERT_EQ(source.Execute(KeyQuery(source, dict, "k0"))->size(), 1u);
+  // The source's translation memo learns each id once per caller
+  // dictionary, doubling its table as it fills (a logarithmic number of
+  // allocations; see TranslationMemoGrowsLogarithmically). Teach it every
+  // id first, so the rounds measure what a miss costs per query.
+  for (std::size_t i = 0; i < double_round.size(); ++i) {
+    SourceQuery query;
+    query.positions = {0};
+    const auto ids = double_round.IdsOf(i);
+    query.ids.assign(ids.begin(), ids.end());
+    query.dict = dict;
+    ASSERT_TRUE(source.Execute(query).ok());
+  }
 
   // A fresh scheduler and log per round: both pay the same first-sight
   // state. The round goes through the scheduler and into the log, as
