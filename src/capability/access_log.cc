@@ -13,6 +13,9 @@ namespace {
 /// The smallest capacity a column grows to, so the few records of a
 /// small answer take one allocation per column, not one per round.
 constexpr std::size_t kMinRecords = 16;
+/// Channels a log makes room for when it registers its first: most
+/// executions register a handful, which then take one allocation.
+constexpr std::size_t kMinChannels = 8;
 
 /// Grows `column`'s capacity to hold `count` more entries, to the next
 /// power of two (at least kMinRecords).
@@ -124,6 +127,7 @@ std::vector<std::string> AccessRecord::NewBindings() const {
 uint32_t AccessLog::AddChannel(std::shared_ptr<const SourceView> view,
                                std::vector<uint32_t> positions,
                                ValueDictionaryPtr dict) {
+  if (channels_.empty()) channels_.reserve(kMinChannels);
   Channel& channel = channels_.emplace_back();
   channel.view = std::move(view);
   channel.positions = std::move(positions);

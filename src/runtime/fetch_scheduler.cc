@@ -24,6 +24,9 @@ namespace {
 
 constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
 constexpr uint32_t kNone32 = std::numeric_limits<uint32_t>::max();
+/// Channels a scheduler makes room for when it registers its first:
+/// most executions register a handful, which then take one allocation.
+constexpr std::size_t kMinChannels = 8;
 
 std::string FormatMs(double ms) {
   char buffer[32];
@@ -194,6 +197,7 @@ FetchScheduler::~FetchScheduler() = default;
 uint32_t FetchScheduler::AddChannel(capability::Source* source,
                                     std::vector<uint32_t> positions) {
   const uint32_t index = static_cast<uint32_t>(channels_.size());
+  if (channels_.empty()) channels_.reserve(kMinChannels);
   Channel& channel = channels_.emplace_back();
   channel.channel.source = source;
   channel.channel.positions = std::move(positions);
